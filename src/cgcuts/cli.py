@@ -1,9 +1,10 @@
 """Command-line front end: stats, strengthen, separate, oracle.
 
 Exit codes for ``separate``: 0 when cuts were found, 1 when none, 2 on
-errors (bad files, usage).  Cut and model payloads are byte-identical for
-identical inputs and seed; the stats report includes wall-clock timing and
-is exempt from that guarantee.
+errors: bad files, usage, or any other exception, which is reported as
+one ``error: <Type>: <message>`` line.  Cut and model payloads are
+byte-identical for identical inputs and seed; the stats report includes
+wall-clock timing and is exempt from that guarantee.
 """
 
 from __future__ import annotations
@@ -207,6 +208,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a crash must not read as "no cuts" (exit 1)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

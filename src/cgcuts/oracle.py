@@ -3,17 +3,20 @@
 Everything here trades speed for obviousness: pairwise probing over raw
 rows, subset enumeration for maximal cliques, DFS enumeration of odd
 cycles, and exhaustive 0/1 feasibility checks.  Hard node/variable budgets
-refuse oversized inputs instead of silently crawling.
+refuse oversized inputs instead of silently crawling.  The feasibility
+checks import numpy on first use, so the rest of the package runs
+without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .model import EPS, SENSE_GE, SENSE_LE, MilpInstance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_CLIQUE_NODES = 20
 MAX_CYCLE_NODES = 14
@@ -164,12 +167,16 @@ def enum_odd_cycles(adj: Mapping[int, set[int]], values: Mapping[int, float],
 
 
 def _all_points(n: int) -> np.ndarray:
+    import numpy as np
+
     shifts = np.arange(n, dtype=np.int64)
     return ((np.arange(1 << n, dtype=np.int64)[:, None] >> shifts) & 1).astype(np.float64)
 
 
 def enum_feasible(instance: MilpInstance) -> set[tuple[int, ...]]:
     """All 0/1 points satisfying every row of a pure-binary instance."""
+    import numpy as np
+
     if any(not v.is_binary for v in instance.variables):
         raise BudgetExceededError("feasibility enumeration requires a pure-binary instance")
     n = instance.n_vars
@@ -197,6 +204,8 @@ def enum_feasible(instance: MilpInstance) -> set[tuple[int, ...]]:
 
 def enum_conflict_feasible(edges: Iterable[frozenset[int]], n_vars: int) -> set[tuple[int, ...]]:
     """All 0/1 points respecting every literal-pair conflict edge."""
+    import numpy as np
+
     if n_vars > MAX_FEASIBLE_VARS:
         raise BudgetExceededError(f"{n_vars} variables exceeds the {MAX_FEASIBLE_VARS}-variable budget")
     pts = _all_points(n_vars)

@@ -5,8 +5,11 @@ graph joining opposite-side copies of j and k, weighted
 (1 - value_j - value_k) / 2 and clamped at zero.  A shortest path between
 the two copies of a literal projects to a closed odd walk; its simple odd
 cycles of length >= 5 whose induced edges cost less than 0.5 are violated
-cuts.  Each kept cycle is lifted by a clique of literals conflicting with
-the whole cycle, turning it into an odd wheel.
+cuts.  The search keeps its distances and predecessors in flat lists
+indexed by auxiliary node id, and literals with no auxiliary edge are not
+searched from, since their two copies cannot be joined.  Each kept cycle
+is lifted by a clique of literals conflicting with the whole cycle,
+turning it into an odd wheel.
 """
 
 from __future__ import annotations
@@ -88,22 +91,26 @@ def build_auxiliary(g: ConflictGraph, point: FractionalPoint,
 
 
 def _shortest_path(aux: AuxiliaryGraph, source: int, target: int) -> list[int] | None:
-    dist = {source: 0.0}
-    prev: dict[int, int] = {}
+    adj = aux.adj
+    push, pop = heapq.heappush, heapq.heappop
+    inf = float("inf")
+    dist = [inf] * aux.n_aux
+    prev = [-1] * aux.n_aux
+    dist[source] = 0.0
     heap = [(0.0, source)]
     while heap:
-        d, u = heapq.heappop(heap)
+        d, u = pop(heap)
         if u == target:
             break
-        if d > dist.get(u, float("inf")):
+        if d > dist[u]:
             continue
-        for v, w in aux.adj[u]:
+        for v, w in adj[u]:
             nd = d + w
-            if nd < dist.get(v, float("inf")):
+            if nd < dist[v]:
                 dist[v] = nd
                 prev[v] = u
-                heapq.heappush(heap, (nd, v))
-    if target not in dist:
+                push(heap, (nd, v))
+    if dist[target] == inf:
         return None
     path = [target]
     while path[-1] != source:
@@ -172,6 +179,8 @@ def separate_odd_cycles(g: ConflictGraph, point: FractionalPoint) -> list[OddCyc
     aux = build_auxiliary(g, point)
     kept: dict[tuple[int, ...], None] = {}
     for local in range(len(aux.nodes)):
+        if not aux.adj[2 * local]:
+            continue  # no edge: the two copies cannot be joined
         path = _shortest_path(aux, 2 * local, 2 * local + 1)
         if path is None:
             continue

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from cgcuts import parse_mps, write_mps
+from cgcuts import MilpInstance, Row, parse_mps, write_mps
 from cgcuts.cli import main
 
 import gen
@@ -174,3 +179,36 @@ def test_stats_edge_count_matches_oracle(tmp_path, capsys):
         edge_line = next(l for l in out.splitlines() if l.startswith("conflict graph"))
         reported = int(edge_line.split("edges")[1].strip())
         assert reported == len(probe_pairs(inst).edges)
+
+
+def _run_python(*args):
+    """Run a fresh interpreter that imports cgcuts from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def test_unexpected_exception_exits_2(tmp_path):
+    # One 1,200-literal clique at 0.5 drives the recursive Bron-Kerbosch
+    # past the interpreter's recursion limit.
+    n = 1200
+    inst = MilpInstance(gen.binary_vars(n), [Row("pack", [(j, 1.0) for j in range(n)], "<=", 1.0)])
+    mpath = tmp_path / "big.mps"
+    mpath.write_text(write_mps(inst))
+    ppath = tmp_path / "big.pnt"
+    ppath.write_text("".join(f"x{j + 1} 0.5\n" for j in range(n)))
+    proc = _run_python("-m", "cgcuts.cli", "separate", "clique", str(mpath), str(ppath))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: RecursionError: ")
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+def test_cli_import_skips_numpy(triangle):
+    proc = _run_python("-c", "import sys, cgcuts.cli; print('numpy' in sys.modules)")
+    assert proc.returncode == 0 and proc.stdout == "False\n"
+    proc = _run_python("-m", "cgcuts.cli", "oracle", "feasible", triangle[0])
+    assert proc.returncode == 0
+    assert sorted(proc.stdout.splitlines()) == ["000", "001", "010", "100"]

@@ -5,6 +5,7 @@ import pytest
 from cgcuts import (
     FractionalPoint,
     MilpInstance,
+    Row,
     build,
     build_auxiliary,
     lift_center,
@@ -219,3 +220,110 @@ def test_cuts_sorted_by_violation():
         cuts = separate_odd_cycles(g, point)
         viols = [c.violation for c in cuts]
         assert viols == sorted(viols, reverse=True)
+
+
+def _conflict_row(name, a, b, n):
+    """The row that makes literals a and b conflict: a + b <= 1 with
+    every complemented literal !x_j written as 1 - x_j."""
+    coeffs, rhs = [], 1.0
+    for lit in (a, b):
+        if lit < n:
+            coeffs.append((lit, 1.0))
+        else:
+            coeffs.append((lit - n, -1.0))
+            rhs -= 1.0
+    return Row(name, coeffs, "<=", rhs)
+
+
+def _exactness_fixture(seed):
+    """Two planted odd cycles (some members complemented), a two-literal
+    wheel center, noise conflicts and an 8-variable set-packing row.
+
+    Three variables at 0 or 1 sit in no row, which gives isolated literals
+    at 0 and at 1; values of 0.5 and 0.45-0.48 make both literals of a variable active;
+    0.5 + 0.5 and 0.6 + 0.5 give zero-weight and clamped auxiliary edges,
+    so the heap sees ties.  With ``min_clq_size=4`` the packing row stays
+    in the tuple store.
+    """
+    rng = random.Random(seed)
+    n = 22
+    order = list(range(n))
+    rng.shuffle(order)
+    isolated, cyc_a, cyc_b, center, rest = (
+        order[:4], order[4:9], order[9:16], order[16:18], order[18:])
+    values = {j: float(k % 2) for k, j in enumerate(isolated)}
+    pairs = []
+    cycle_lits = []
+    for cyc in (cyc_a, cyc_b):
+        lits = [j + n * (rng.random() < 0.3) for j in cyc]
+        for j, lit in zip(cyc, lits):
+            lv = rng.choice([0.5, 0.5, 0.48, 0.45])
+            values[j] = lv if lit < n else 1.0 - lv
+        pairs += [(lits[i], lits[(i + 1) % len(lits)]) for i in range(len(lits))]
+        cycle_lits.append(lits)
+    for c in center:
+        values[c] = 0.0
+        pairs += [(c, lit) for lit in cycle_lits[0]]
+    pairs.append((center[0], center[1]))
+    for j in rest:
+        values[j] = rng.choice([0.5, 0.6, 0.3, 0.0])
+    pool = cyc_b + rest
+    for _ in range(6):
+        a, b = rng.sample(pool, 2)
+        pairs.append((a + n * (rng.random() < 0.2), b))
+    rows = [_conflict_row(f"e{i}", a, b, n) for i, (a, b) in enumerate(pairs)]
+    packing = sorted(rest + [cyc_b[0], isolated[0]])
+    rows.append(Row("pack", [(j, 1.0) for j in packing], "<=", 1.0))
+    return MilpInstance(gen.binary_vars(n), rows), FractionalPoint(values)
+
+
+# (cycle, sorted center, violation to 9 decimals) per fixture seed, as the
+# dict-based search returned them.  Breaking heap ties by the larger node
+# id instead changes the cuts of seeds 15, 33, 43 and 44.
+EXACT_CUTS = {
+    2: [
+        ((0, 2, 19, 41, 8, 16, 3, 14, 22), (), 0.51),
+        ((4, 6, 15, 7, 17), (5, 9), 0.4),
+    ],
+    15: [
+        ((11, 18, 13, 31, 19), (5, 7), 0.33),
+    ],
+    33: [
+        ((5, 7, 10, 32, 12), (), 0.6),
+        ((0, 11, 2, 13, 19), (15, 16), 0.46),
+    ],
+    43: [
+        ((0, 20, 42, 18, 6, 30, 22), (), 0.5),
+        ((5, 34, 16, 43, 39), (3, 11), 0.43),
+    ],
+    44: [
+        ((0, 22, 18, 21, 43), (), 0.48),
+        ((1, 17, 21, 7, 4, 22, 18), (), 0.48),
+        ((1, 18, 22, 4, 7, 21, 31), (), 0.48),
+        ((2, 6, 14, 15, 33), (5, 12), 0.48),
+        ((4, 7, 21, 18, 22), (), 0.48),
+    ],
+}
+
+
+def test_exactness_fixtures_cover_ties_and_skips():
+    zero = clamped = skipped = both = 0
+    for seed in EXACT_CUTS:
+        inst, point = _exactness_fixture(seed)
+        g = build(inst, min_clq_size=4)
+        assert any(g.store.first_stored)
+        aux = build_auxiliary(g, point)
+        zero += sum(1 for nbrs in aux.adj for _, w in nbrs if w == 0.0)
+        clamped += aux.clamped_edges
+        skipped += sum(1 for i in range(len(aux.nodes)) if not aux.adj[2 * i])
+        both += sum(1 for v in aux.nodes if v < inst.n_vars and v + inst.n_vars in aux.nodes)
+    assert zero and clamped and skipped and both
+
+
+@pytest.mark.parametrize("seed", sorted(EXACT_CUTS))
+def test_search_matches_recorded_cuts(seed):
+    inst, point = _exactness_fixture(seed)
+    g = build(inst, min_clq_size=4)
+    cuts = separate_odd_cycles(g, point)
+    got = [(c.cycle, tuple(sorted(c.center)), round(c.violation, 9)) for c in cuts]
+    assert got == EXACT_CUTS[seed]
