@@ -13,12 +13,17 @@ remaining large cliques stay in the tuple store.  Queries consult the
 sorted adjacency lists first and fall back to the clique indices, so the
 split is invisible to callers.  The trivial conflict between a literal
 and its complement is never stored and always reported.
+
+``greedy_extend`` grows a set of literals by intersecting neighbor lists;
+clique strengthening, clique-cut extension and odd-wheel lifting all call
+it with their own candidate order.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 from .model import (
     EPS,
@@ -127,22 +132,9 @@ class CliqueStore:
     adjaddtl: list[list[int]] = field(default_factory=list)
     first_pos: list[dict[int, int]] = field(default_factory=list)
 
-    @property
-    def sizeaf(self) -> list[int]:
-        return [len(x) for x in self.adjfirst]
-
-    @property
-    def sizeaa(self) -> list[int]:
-        return [len(x) for x in self.adjaddtl]
-
     def tuple_members(self, t: int) -> list[int]:
         lit, c, l = self.addtl[t]
         return [lit, *self.first[c][l - 1:]]
-
-    def stored_cliques(self) -> list[list[int]]:
-        out = [self.first[c] for c in range(len(self.first)) if self.first_stored[c]]
-        out.extend(self.tuple_members(t) for t in range(len(self.addtl)))
-        return out
 
 
 @dataclass
@@ -231,6 +223,28 @@ class ConflictGraph:
                 lines.append(f"A {instance.node_name(a)}: "
                              + " ".join(instance.node_name(v) for v in self.adjlist[a]))
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def greedy_extend(g: ConflictGraph, seed: Iterable[int],
+                  order_key: Callable[[int], tuple]) -> frozenset[int]:
+    """Greedily add literals conflicting with the whole seed and each other.
+
+    The common neighborhood of the seed is visited in ``order_key`` order;
+    a literal joins if it is still in the common neighborhood, which then
+    shrinks to that literal's neighbors.  The seed need not be a clique.
+    ``order_key`` must be a total order (every key ends in the node id),
+    so the result does not depend on set iteration order.
+    """
+    ext = set(seed)
+    if not ext:
+        return frozenset()
+    nbrs = sorted((g.neighbors(m) for m in ext), key=len)
+    common = set(nbrs[0]).intersection(*nbrs[1:])
+    for lit in sorted(common, key=order_key):
+        if lit in common:
+            ext.add(lit)
+            common.intersection_update(g.neighbors(lit))
+    return frozenset(ext)
 
 
 def build(instance: MilpInstance, min_clq_size: int = 512) -> ConflictGraph:

@@ -62,7 +62,8 @@ def cmd_stats(args) -> int:
     n_int = sum(1 for v in instance.variables if v.is_integer and not v.is_binary)
     n_con = instance.n_vars - n_bin - n_int
     nz = sum(len(r.coeffs) for r in instance.rows)
-    edges = g.edge_set()
+    # neighbors() holds the complement once; edge_set() drops it.
+    n_edges = sum(g.degree(a) - 1 for a in range(g.n_nodes)) // 2
     st = g.store
     stored_first = sum(st.first_stored)
     adj_entries = sum(len(a) for a in g.adjlist)
@@ -76,7 +77,7 @@ def cmd_stats(args) -> int:
         f"instance: {instance.name or args.model}",
         f"variables: {instance.n_vars} (binary {n_bin}, integer {n_int}, continuous {n_con})",
         f"rows: {len(instance.rows)}  nonzeros: {nz}",
-        f"conflict graph: nodes {g.n_nodes}, edges {len(edges)}",
+        f"conflict graph: nodes {g.n_nodes}, edges {n_edges}",
         f"cliques detected: {g.cliques_detected}",
         f"stored: first cliques {stored_first}, tuples {len(st.addtl)}, adjlist entries {adj_entries}",
         f"build time: {elapsed:.6f} s",

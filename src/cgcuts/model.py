@@ -62,10 +62,6 @@ def node_var(node: int, n_vars: int) -> int:
     return node - n_vars if node >= n_vars else node
 
 
-def is_complement_node(node: int, n_vars: int) -> bool:
-    return node >= n_vars
-
-
 def literal_from_node(node: int, n_vars: int) -> Literal:
     return Literal(node_var(node, n_vars), node >= n_vars)
 

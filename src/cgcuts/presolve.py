@@ -5,6 +5,14 @@ normalization, so complements qualify too) is extended greedily over the
 conflict graph; the extended row replaces it and every other collected
 set-packing row whose literal set the extension covers is dropped as
 dominated.  Everything else in the instance is left untouched.
+
+An extension may hold both literals of one variable x_j, since x_j
+always conflicts with its complement.  In the written row x_j and
+(1 - x_j) cancel and the rhs drops by one: the row then forces every
+other literal of the extension to 0, for example
+``(1 - x596) + x1171 <= 0`` is written as ``-x596 + x1171 <= -1``.  The
+row is valid, because each of those literals conflicts with both x_j and
+its complement.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cgraph import ConflictGraph
+from .cgraph import ConflictGraph, greedy_extend
 from .model import (
     EPS,
     SENSE_EQ,
@@ -35,9 +43,9 @@ class StrengthenReport:
 def extend_clique(g: ConflictGraph, clique: Iterable[int]) -> frozenset[int]:
     """Greedily extend a clique to a maximal one.
 
-    Candidates are the neighbors of the smallest-degree member, visited by
-    descending degree (ties by node id); each joins only if it conflicts
-    with everything accepted so far.
+    Literals conflicting with every member are visited by descending
+    degree (ties by node id); each joins only if it conflicts with
+    everything accepted so far.
     """
     c = frozenset(clique)
     members = sorted(c)
@@ -45,16 +53,7 @@ def extend_clique(g: ConflictGraph, clique: Iterable[int]) -> frozenset[int]:
         for v in members[i + 1:]:
             if not g.conflicting(u, v):
                 raise ValueError(f"input is not a clique: {u} and {v} do not conflict")
-    if not c:
-        return c
-    d = min(c, key=lambda v: (g.degree(v), v))
-    cand = [k for k in g.neighbors(d) if k not in c]
-    cand.sort(key=lambda v: (-g.degree(v), v))
-    ext = set(c)
-    for l in cand:
-        if all(g.conflicting(l, m) for m in ext):
-            ext.add(l)
-    return frozenset(ext)
+    return greedy_extend(g, c, lambda v: (-g.degree(v), v))
 
 
 def _set_packing_clique(krow) -> frozenset[int] | None:

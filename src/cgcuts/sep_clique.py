@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .bk import BkParams, WeightedSubgraph, find_cliques
-from .cgraph import ConflictGraph
+from .cgraph import ConflictGraph, greedy_extend
 from .model import FractionalPoint, Row, literals_to_row
 
 # A value v is fractional iff FRAC_EPS < v < 1 - FRAC_EPS.
@@ -61,21 +61,10 @@ def candidate_order_key(point: FractionalPoint, n_vars: int):
 def extend_cut(g: ConflictGraph, clique, point: FractionalPoint) -> frozenset[int]:
     """Extend a clique over the full graph (a violated K3 can become a K4).
 
-    Candidates come from the smallest-degree member's neighborhood and are
-    consumed in reduced-cost order; each joins only if it conflicts with
-    everything accepted so far.
+    Literals conflicting with every member are consumed in reduced-cost
+    order; each joins only if it conflicts with everything accepted so far.
     """
-    c = frozenset(clique)
-    if not c:
-        return c
-    d = min(c, key=lambda v: (g.degree(v), v))
-    cand = [k for k in g.neighbors(d) if k not in c]
-    cand.sort(key=candidate_order_key(point, g.n_vars))
-    ext = set(c)
-    for l in cand:
-        if all(g.conflicting(l, m) for m in ext):
-            ext.add(l)
-    return frozenset(ext)
+    return greedy_extend(g, clique, candidate_order_key(point, g.n_vars))
 
 
 def separate_cliques(g: ConflictGraph, point: FractionalPoint,

@@ -19,7 +19,7 @@ import logging
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cgraph import ConflictGraph
+from .cgraph import ConflictGraph, greedy_extend
 from .model import FractionalPoint, Row, literals_to_row
 from .sep_clique import FRAC_EPS, candidate_order_key
 
@@ -153,18 +153,8 @@ def lift_center(g: ConflictGraph, cycle: Sequence[int],
                 point: FractionalPoint) -> frozenset[int]:
     """Greedy wheel center: a clique of literals conflicting with every
     cycle member, consumed in reduced-cost order (possibly empty)."""
-    members = set(cycle)
-    d = min(members, key=lambda v: (g.degree(v), v))
-    cand = [
-        k for k in g.neighbors(d)
-        if k not in members and all(g.conflicting(k, j) for j in members)
-    ]
-    cand.sort(key=candidate_order_key(point, g.n_vars))
-    center: list[int] = []
-    for l in cand:
-        if all(g.conflicting(l, m) for m in center):
-            center.append(l)
-    return frozenset(center)
+    members = frozenset(cycle)
+    return greedy_extend(g, members, candidate_order_key(point, g.n_vars)) - members
 
 
 def separate_odd_cycles(g: ConflictGraph, point: FractionalPoint) -> list[OddCycleCut]:

@@ -1,7 +1,19 @@
+import itertools
 import random
+from collections import Counter
 
-from cgcuts import build, detect_cliques, detect_cliques_compressed, normalize_to_knapsack
+from cgcuts import (
+    BkParams,
+    FractionalPoint,
+    build,
+    detect_cliques,
+    detect_cliques_compressed,
+    find_cliques,
+    normalize_to_knapsack,
+)
+from cgcuts.cgraph import greedy_extend
 from cgcuts.oracle import probe_pairs
+from cgcuts.sep_clique import candidate_order_key, fractional_subgraph
 
 import gen
 
@@ -200,3 +212,71 @@ def test_dump_complement_names():
     inst = gen.knapsack_example_instance()
     g = build(inst, min_clq_size=0)
     assert "!x3" in g.dump(inst)
+
+
+def _pairwise_extend(g, seed, order_key):
+    """Reference: the pairwise-query loop that greedy_extend replaced.
+
+    Candidates are the smallest-degree member's neighbors in ``order_key``
+    order; each joins only if ``conflicting`` holds against every literal
+    accepted so far, seed included.
+    """
+    ext = set(seed)
+    if not ext:
+        return frozenset()
+    d = min(ext, key=lambda v: (g.degree(v), v))
+    for lit in sorted((k for k in g.neighbors(d) if k not in ext), key=order_key):
+        if all(g.conflicting(lit, m) for m in ext):
+            ext.add(lit)
+    return frozenset(ext)
+
+
+def _random_odd_cycle(rng, g, length):
+    """A simple cycle of conflicting literals found by a random walk, or None."""
+    path = [rng.randrange(g.n_nodes)]
+    while len(path) < length:
+        nxt = [v for v in g.neighbors(path[-1]) if v not in path]
+        if not nxt:
+            return None
+        path.append(rng.choice(nxt))
+    return path if g.conflicting(path[-1], path[0]) else None
+
+
+def test_greedy_extend_matches_pairwise_loop():
+    rng = random.Random(27)
+    covered = Counter()
+    for _ in range(40):
+        inst = gen.random_binary_instance(rng, n_vars=rng.randint(4, 14),
+                                          n_rows=rng.randint(2, 10))
+        n = inst.n_vars
+        # Few distinct values and costs, so order keys tie up to the node id.
+        values = {j: rng.choice([0.0, 0.3, 0.5, 0.5, 0.7, 1.0]) for j in range(n)}
+        costs = {j: float(rng.randint(-2, 2)) for j in range(n)}
+        by_cost, by_value = FractionalPoint(values, costs), FractionalPoint(values)
+        for mcs in (0, 4, 512):
+            g = build(inst, mcs)
+            covered["tuples"] += bool(g.store.addtl)
+            covered["stored first cliques"] += any(g.store.first_stored)
+            covered["pairwise entries"] += any(g.adjlist)
+            seeds = [{v} for v in range(g.n_nodes)]
+            seeds += [set(e) for e in sorted(g.edge_set(), key=sorted)]
+            sub = fractional_subgraph(g, by_value)
+            if sub.nodes:
+                bk = find_cliques(sub, BkParams(min_weight=0.0)).cliques
+                covered["bk cliques"] += len(bk)
+                seeds += bk
+            for length in (5, 7, 9) * 4:
+                cycle = _random_odd_cycle(rng, g, length)
+                if cycle is not None and not all(
+                        g.conflicting(a, b) for a, b in itertools.combinations(cycle, 2)):
+                    covered["non-clique cycles"] += 1
+                    seeds.append(cycle)
+            keys = [lambda v: (-g.degree(v), v),
+                    candidate_order_key(by_cost, n),
+                    candidate_order_key(by_value, n)]
+            for seed in seeds:
+                for key in keys:
+                    assert greedy_extend(g, seed, key) == _pairwise_extend(g, seed, key)
+    kinds = ("tuples", "stored first cliques", "pairwise entries", "bk cliques",
+             "non-clique cycles")
+    assert all(covered[k] >= 10 for k in kinds), covered

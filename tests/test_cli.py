@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cgcuts import MilpInstance, Row, parse_mps, write_mps
+from cgcuts import MilpInstance, Row, build, parse_mps, write_mps
 from cgcuts.cli import main
 
 import gen
@@ -179,6 +179,18 @@ def test_stats_edge_count_matches_oracle(tmp_path, capsys):
         edge_line = next(l for l in out.splitlines() if l.startswith("conflict graph"))
         reported = int(edge_line.split("edges")[1].strip())
         assert reported == len(probe_pairs(inst).edges)
+
+
+def test_stats_edge_count_matches_edge_set_with_tuples(tmp_path, capsys):
+    inst = gen.tuple_store_instance()
+    path = tmp_path / "tuples.mps"
+    path.write_text(write_mps(inst))
+    for mcs in (0, 4, 512):
+        g = build(inst, mcs)
+        assert mcs == 512 or g.store.addtl
+        assert main(["stats", str(path), "--min-clq-size", str(mcs)]) == 0
+        out = capsys.readouterr().out
+        assert f"conflict graph: nodes {g.n_nodes}, edges {len(g.edge_set())}\n" in out
 
 
 def _run_python(*args):
