@@ -18,14 +18,11 @@ from .cgraph import (
 from .model import (
     FractionalPoint,
     KnapsackRow,
-    Literal,
     MilpInstance,
     ParseError,
     Row,
     Variable,
     complement_node,
-    gap_closed,
-    literal_from_node,
     literals_to_row,
     normalize_to_knapsack,
     parse_mps,
@@ -51,7 +48,6 @@ __all__ = [
     "DetectStats",
     "FractionalPoint",
     "KnapsackRow",
-    "Literal",
     "MilpInstance",
     "OddCycleCut",
     "ParseError",
@@ -70,9 +66,7 @@ __all__ = [
     "extend_clique",
     "extend_cut",
     "find_cliques",
-    "gap_closed",
     "lift_center",
-    "literal_from_node",
     "literals_to_row",
     "normalize_to_knapsack",
     "oddwheel_to_row",

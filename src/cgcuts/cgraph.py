@@ -9,10 +9,11 @@ expanded, which is what keeps the loop out of quadratic territory.
 
 After construction, every stored clique whose size is at most
 ``min_clq_size`` is dissolved into plain pairwise adjacency entries; the
-remaining large cliques stay in the tuple store.  Queries consult the
-sorted adjacency lists first and fall back to the clique indices, so the
-split is invisible to callers.  The trivial conflict between a literal
-and its complement is never stored and always reported.
+remaining large cliques stay in the tuple store.  ``neighbors`` is the one
+walk over the adjacency lists and the clique indices; ``conflicting`` and
+``degree`` read its cached sorted tuple, so the split is invisible to
+callers.  The trivial conflict between a literal and its complement is
+never stored and always reported.
 
 ``greedy_extend`` grows a set of literals by intersecting neighbor lists;
 clique strengthening, clique-cut extension and odd-wheel lifting all call
@@ -116,21 +117,19 @@ class CliqueStore:
     """Tuple-compressed clique storage.
 
     ``first[c]`` holds the initial clique of the c-th clique-bearing row in
-    coefficient order and ``size[c]`` its length.  ``addtl`` holds tuples
-    (literal, c, l): the clique {literal} with positions l..size[c] of
-    ``first[c]`` (l is 1-based).  ``adjfirst``/``adjaddtl`` index, per node,
-    the stored cliques/tuples containing it.  ``first_stored[c]`` is False
-    once a first clique has been dissolved into pairwise entries; its row
-    data stays because tuples may still reference it.
+    coefficient order.  ``addtl`` holds tuples (literal, c, l): the clique
+    {literal} with positions l..len(first[c]) of ``first[c]`` (l is
+    1-based).  ``adjfirst``/``adjaddtl`` index, per node, the stored
+    cliques/tuples containing it.  ``first_stored[c]`` is False once a
+    first clique has been dissolved into pairwise entries; its row data
+    stays because tuples may still reference it.
     """
 
     first: list[list[int]] = field(default_factory=list)
-    size: list[int] = field(default_factory=list)
     addtl: list[tuple[int, int, int]] = field(default_factory=list)
     first_stored: list[bool] = field(default_factory=list)
     adjfirst: list[list[int]] = field(default_factory=list)
     adjaddtl: list[list[int]] = field(default_factory=list)
-    first_pos: list[dict[int, int]] = field(default_factory=list)
 
     def tuple_members(self, t: int) -> list[int]:
         lit, c, l = self.addtl[t]
@@ -158,26 +157,9 @@ class ConflictGraph:
 
     def conflicting(self, a: int, b: int) -> bool:
         """True iff literals a and b cannot both be active."""
-        if a == b:
-            return False
-        if b == self.complement(a):
-            return True
-        al = self.adjlist[a]
-        i = bisect.bisect_left(al, b)
-        if i < len(al) and al[i] == b:
-            return True
-        st = self.store
-        for c in st.adjfirst[a]:
-            if b in st.first_pos[c]:
-                return True
-        for t in st.adjaddtl[a]:
-            lit, c, l = st.addtl[t]
-            if b == lit:
-                return True
-            pos = st.first_pos[c].get(b)
-            if pos is not None and pos >= l - 1:
-                return True
-        return False
+        nbrs = self.neighbors(a)
+        i = bisect.bisect_left(nbrs, b)
+        return i < len(nbrs) and nbrs[i] == b
 
     def neighbors(self, a: int) -> tuple[int, ...]:
         """All literals conflicting with a, sorted; always includes the complement."""
@@ -269,8 +251,6 @@ def build(instance: MilpInstance, min_clq_size: int = 512) -> ConflictGraph:
             detected += 1 + len(rc.addtl)
             c = len(store.first)
             store.first.append(rc.initial)
-            store.size.append(len(rc.initial))
-            store.first_pos.append({v: i for i, v in enumerate(rc.initial)})
             for lit, l in rc.addtl:
                 store.addtl.append((lit, c, l))
 
@@ -287,7 +267,7 @@ def build(instance: MilpInstance, min_clq_size: int = 512) -> ConflictGraph:
 
     kept: list[tuple[int, int, int]] = []
     for lit, c, l in store.addtl:
-        if store.size[c] - l + 2 <= min_clq_size:
+        if len(store.first[c]) - l + 2 <= min_clq_size:
             # Suffix-internal pairs are covered by first[c] (stored or
             # dissolved above); only the outside literal needs new edges.
             for v in store.first[c][l - 1:]:

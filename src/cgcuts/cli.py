@@ -113,30 +113,25 @@ def cmd_separate(args) -> int:
     params = BkParams(max_calls=args.max_calls, pivot_rule=args.pivot,
                       rng_seed=args.seed)
     n = instance.n_vars
-    lines = []
     if args.kind == "clique":
         cuts = separate_cliques(g, point, args.min_viol, params)
-        for i, cut in enumerate(cuts):
-            row = cut_to_row(cut, n, f"clique_{i}")
-            if args.machine:
-                terms = ",".join(f"{instance.variables[j].name}:{a:g}" for j, a in row.coeffs)
-                lines.append(f"cut\t{row.name}\t{cut.violation:.9f}\t<=\t{row.rhs:g}\t{terms}")
-            else:
-                lines.append(f"{row.name}: {format_row(row, instance)}"
-                             f"  # violation={cut.violation:.6f}")
+        found = [(cut_to_row(cut, n, f"clique_{i}"), cut.violation, "")
+                 for i, cut in enumerate(cuts)]
     else:
         cuts = separate_odd_cycles(g, point)
-        for i, cut in enumerate(cuts):
-            row = oddwheel_to_row(cut, n, f"oddcycle_{i}")
-            center = ",".join(instance.node_name(v) for v in sorted(cut.center))
-            if args.machine:
-                terms = ",".join(f"{instance.variables[j].name}:{a:g}" for j, a in row.coeffs)
-                lines.append(f"cut\t{row.name}\t{cut.violation:.9f}\t<=\t{row.rhs:g}\t{terms}")
-            else:
-                annotation = f"  # violation={cut.violation:.6f}"
-                if center:
-                    annotation += f" center=[{center}]"
-                lines.append(f"{row.name}: {format_row(row, instance)}{annotation}")
+        found = [(oddwheel_to_row(cut, n, f"oddcycle_{i}"), cut.violation,
+                  ",".join(instance.node_name(v) for v in sorted(cut.center)))
+                 for i, cut in enumerate(cuts)]
+    lines = []
+    for row, violation, center in found:
+        if args.machine:
+            terms = ",".join(f"{instance.variables[j].name}:{a:g}" for j, a in row.coeffs)
+            lines.append(f"cut\t{row.name}\t{violation:.9f}\t<=\t{row.rhs:g}\t{terms}")
+        else:
+            annotation = f"  # violation={violation:.6f}"
+            if center:
+                annotation += f" center=[{center}]"
+            lines.append(f"{row.name}: {format_row(row, instance)}{annotation}")
     _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
     return 0 if cuts else 1
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, TextIO
+from typing import Iterable, TextIO
 
 # Absolute tolerance for coefficient/rhs comparisons ("a + b > rhs" means
 # a + b > rhs + EPS).
@@ -40,30 +40,12 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-class Literal(NamedTuple):
-    """A binary variable (x_j) or its complement (1 - x_j)."""
-
-    var_index: int
-    complemented: bool = False
-
-    def complement(self) -> "Literal":
-        return Literal(self.var_index, not self.complemented)
-
-    def node(self, n_vars: int) -> int:
-        """Graph node id: ``var_index`` for x_j, ``var_index + n`` otherwise."""
-        return self.var_index + n_vars if self.complemented else self.var_index
-
-
 def complement_node(node: int, n_vars: int) -> int:
     return node - n_vars if node >= n_vars else node + n_vars
 
 
 def node_var(node: int, n_vars: int) -> int:
     return node - n_vars if node >= n_vars else node
-
-
-def literal_from_node(node: int, n_vars: int) -> Literal:
-    return Literal(node_var(node, n_vars), node >= n_vars)
 
 
 @dataclass(frozen=True)
@@ -225,13 +207,6 @@ class FractionalPoint:
         if rc is None:
             return default
         return -rc if node >= n_vars else rc
-
-
-def gap_closed(best_sol: float, first_lp: float, current_lp: float) -> float:
-    """Percentage of the integrality gap closed by the current relaxation."""
-    if best_sol == first_lp:
-        raise ValueError("degenerate gap: best solution equals the first LP value")
-    return 100.0 - 100.0 * (best_sol - current_lp) / (best_sol - first_lp)
 
 
 def literals_to_row(terms: Iterable[tuple[int, float]], rhs: float,

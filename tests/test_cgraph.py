@@ -81,7 +81,7 @@ def test_build_tuple_store_golden():
         [x(2), x(6), x(8)],
         [x(4), x(6), x(8), x(9), x(10)],
     ]
-    assert g.store.size == [4, 3, 5]
+    assert [len(f) for f in g.store.first] == [4, 3, 5]
     assert g.store.addtl == [
         (x(2), 0, 3),
         (x(1), 0, 4),
@@ -141,6 +141,9 @@ def test_neighbors_symmetry_and_oracle_equivalence():
             for b in g.neighbors(a):
                 assert a in g.neighbors(b)
                 assert g.conflicting(a, b) and g.conflicting(b, a)
+            for b in range(g.n_nodes):
+                expect = b == g.complement(a) or frozenset((a, b)) in probe.edges
+                assert g.conflicting(a, b) == expect
 
 
 def test_storage_transparency():
@@ -176,7 +179,7 @@ def test_store_tuple_positions_in_range():
         inst = gen.random_binary_instance(rng, n_vars=rng.randint(2, 12))
         g = build(inst, min_clq_size=0)
         for lit, c, l in g.store.addtl:
-            assert 1 <= l <= g.store.size[c]
+            assert 1 <= l <= len(g.store.first[c])
             assert lit not in g.store.first[c][l - 1:]
 
 
@@ -194,7 +197,7 @@ def test_dissolution_moves_small_cliques_to_adjlist():
     g = build(inst, min_clq_size=3)
     # the 3-clique of r2 and both 2-/3-literal tuples dissolve
     assert g.store.first_stored == [True, False, True]
-    assert all(g.store.size[c] - l + 2 > 3 for _, c, l in g.store.addtl)
+    assert all(len(g.store.first[c]) - l + 2 > 3 for _, c, l in g.store.addtl)
     assert g.edge_set() == build(inst, 0).edge_set()
 
 

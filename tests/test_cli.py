@@ -102,6 +102,14 @@ def test_separate_oddcycle_wheel_golden(wheel, capsys):
                    "  # violation=0.500000 center=[x6,x7,x8]\n")
 
 
+def test_separate_oddcycle_machine_golden(wheel, capsys):
+    mpath, ppath = wheel
+    assert main(["separate", "oddcycle", mpath, ppath, "--machine"]) == 0
+    out = capsys.readouterr().out
+    assert out == ("cut\toddcycle_0\t0.500000000\t<=\t2\t"
+                   "x1:1,x2:1,x3:1,x4:1,x5:1,x6:2,x7:2,x8:2\n")
+
+
 def test_separate_machine_format(triangle, capsys):
     mpath, ppath = triangle
     assert main(["separate", "clique", mpath, ppath, "--machine"]) == 0

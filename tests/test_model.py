@@ -5,14 +5,11 @@ import pytest
 
 from cgcuts import (
     FractionalPoint,
-    Literal,
     MilpInstance,
     ParseError,
     Row,
     Variable,
     complement_node,
-    gap_closed,
-    literal_from_node,
     literals_to_row,
     normalize_to_knapsack,
     parse_mps,
@@ -174,30 +171,6 @@ def test_complement_involution():
     n = 9
     for node in range(2 * n):
         assert complement_node(complement_node(node, n), n) == node
-    lit = Literal(3, True)
-    assert lit.complement().complement() == lit
-    assert literal_from_node(lit.node(n), n) == lit
-
-
-def test_gap_closed_examples():
-    assert gap_closed(100, 50, 75) == 50.0
-    assert gap_closed(100, 50, 50) == 0.0
-    assert gap_closed(100, 50, 100) == 100.0
-
-
-def test_gap_closed_degenerate():
-    with pytest.raises(ValueError, match="degenerate"):
-        gap_closed(5.0, 5.0, 5.0)
-
-
-def test_gap_closed_affine():
-    rng = random.Random(3)
-    for _ in range(20):
-        best, first = 10.0, 2.0
-        a, b = rng.uniform(2, 10), rng.uniform(2, 10)
-        mid = (a + b) / 2
-        expect = (gap_closed(best, first, a) + gap_closed(best, first, b)) / 2
-        assert gap_closed(best, first, mid) == pytest.approx(expect)
 
 
 def test_read_point_basic():
