@@ -2,9 +2,11 @@
 
 Vertex sets (P, X, adjacency rows) are arbitrary-precision ints used as
 bit strings, so the hot set operations are single AND/OR expressions.
-Recursion enumerates maximal cliques whose weight reaches ``min_weight``,
+The search enumerates maximal cliques whose weight reaches ``min_weight``,
 skipping any subtree where the weight of the current clique plus all
-remaining candidates cannot reach it.
+remaining candidates cannot reach it.  It runs on an explicit stack of
+frames, not by recursion, so clique size is not bounded by the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -125,49 +127,67 @@ def find_cliques(g: WeightedSubgraph, params: BkParams, *,
                  prune: bool = True) -> BkResult:
     """Enumerate maximal cliques with weight >= params.min_weight.
 
-    Stops after ``params.max_calls`` recursive calls; the result reports
-    whether the run was exact.  Cliques already emitted are always maximal
-    and heavy enough, budget or not.  ``prune`` disables the weight bound
-    for A/B checks; it never changes the result set, only the call count.
+    ``calls`` counts search nodes: a node is one (R, P, X) state, visited
+    in depth-first order.  The search stops when node ``params.max_calls
+    + 1`` is reached, which is counted too, and the result reports whether
+    the run was exact.  Cliques already emitted are always maximal and
+    heavy enough, budget or not.  ``prune`` disables the weight bound for
+    A/B checks; it never changes the result set, only the call count.
     """
     n = len(g)
-    full = (1 << n) - 1
     minw = params.min_weight - WEIGHT_EPS
+    max_calls = params.max_calls
+    rule = params.pivot_rule
     rng = random.Random(params.rng_seed)
-    weights = g.weights
+    adj, cadj, weights = g.adj, g.cadj, g.weights
     out: list[int] = []
     calls = 0
     truncated = False
-
-    def rec(r_mask: int, p_mask: int, x_mask: int, r_weight: float) -> None:
-        nonlocal calls, truncated
+    # Frames are [R, P, X, weight of R, branch vertices not yet taken].
+    stack: list[list] = []
+    node: tuple | None = (0, (1 << n) - 1, 0, 0.0)
+    while node is not None:
         calls += 1
-        if calls > params.max_calls:
+        if calls > max_calls:
             truncated = True
-            return
+            break
+        r_mask, p_mask, x_mask, r_weight = node
         if p_mask == 0 and x_mask == 0:
             if r_mask and r_weight >= minw:
                 out.append(r_mask)
-            return
-        if prune and r_weight + _mask_weight(p_mask, weights) < minw:
-            return
-        u = choose_pivot(params.pivot_rule, g, p_mask, x_mask, rng)
-        # P \ N(u); the pivot itself stays iterable when it sits in P.
-        ext = p_mask & (g.cadj[u] | (1 << u))
-        while ext:
+        elif prune and r_weight + _mask_weight(p_mask, weights) < minw:
+            pass  # the weight bound cuts this subtree
+        else:
+            u = choose_pivot(rule, g, p_mask, x_mask, rng)
+            # P \ N(u); the pivot itself stays iterable when it sits in P.
+            stack.append([r_mask, p_mask, x_mask, r_weight,
+                          p_mask & (cadj[u] | 1 << u)])
+        # The next node is the first untaken branch of the deepest frame.
+        # Its P and X are taken before the frame moves v from P to X.
+        node = None
+        while stack:
+            frame = stack[-1]
+            ext = frame[4]
+            if not ext:
+                stack.pop()
+                continue
             low = ext & -ext
-            ext ^= low
             v = low.bit_length() - 1
-            rec(r_mask | low, p_mask & g.adj[v], x_mask & g.adj[v],
-                r_weight + weights[v])
-            if truncated:
-                return
-            p_mask &= ~low
-            x_mask |= low
+            r_mask, p_mask, x_mask, r_weight, _ = frame
+            node = (r_mask | low, p_mask & adj[v], x_mask & adj[v],
+                    r_weight + weights[v])
+            frame[1] = p_mask & ~low
+            frame[2] = x_mask | low
+            frame[4] = ext ^ low
+            break
 
-    rec(0, full, 0, 0.0)
-    cliques = [
-        frozenset(g.nodes[i] for i in range(n) if mask >> i & 1)
-        for mask in out
-    ]
+    nodes = g.nodes
+    cliques = []
+    for mask in out:
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(nodes[low.bit_length() - 1])
+            mask ^= low
+        cliques.append(frozenset(members))
     return BkResult(cliques, not truncated, calls)

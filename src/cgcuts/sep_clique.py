@@ -8,6 +8,7 @@ do the work of several rounds of smaller ones.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 from .bk import BkParams, WeightedSubgraph, find_cliques
@@ -16,6 +17,8 @@ from .model import FractionalPoint, Row, literals_to_row
 
 # A value v is fractional iff FRAC_EPS < v < 1 - FRAC_EPS.
 FRAC_EPS = 1e-6
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -74,13 +77,19 @@ def separate_cliques(g: ConflictGraph, point: FractionalPoint,
 
     ``bk_params`` supplies budget, pivot rule and seed; its min_weight is
     overridden with 1 + min_viol.  Cuts are deduplicated on their extended
-    member sets and sorted by decreasing violation.
+    member sets and sorted by decreasing violation.  When Bron-Kerbosch
+    stops on its budget, one warning on this module's logger gives the
+    calls counted and the budget.
     """
     sub = fractional_subgraph(g, point)
     if not sub.nodes:
         return []
     params = replace(bk_params or BkParams(), min_weight=1.0 + min_viol)
     result = find_cliques(sub, params)
+    if not result.exact:
+        log.warning("Bron-Kerbosch stopped at its budget: %d calls counted, "
+                    "max_calls %d; violated cliques may be missing",
+                    result.calls, params.max_calls)
     n = g.n_vars
     cuts: dict[tuple[int, ...], CliqueCut] = {}
     for clique in result.cliques:

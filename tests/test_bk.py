@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from cgcuts import BkParams, WeightedSubgraph, choose_pivot, find_cliques
-from cgcuts.bk import PIVOT_RULES
+from cgcuts import BkParams, BkResult, WeightedSubgraph, choose_pivot, find_cliques
+from cgcuts.bk import PIVOT_RULES, WEIGHT_EPS, _mask_weight
 from cgcuts.oracle import enum_maximal_cliques
 
 import gen
@@ -12,6 +12,96 @@ import gen
 def _subgraph(adj, weights):
     edges = {frozenset((u, v)) for u in adj for v in adj[u]}
     return WeightedSubgraph.from_edges(weights, edges)
+
+
+def _reference_find_cliques(g, params, *, prune=True):
+    """The recursive search with a bit-scan decode, kept as the reference
+    for the explicit-stack version."""
+    n = len(g)
+    full = (1 << n) - 1
+    minw = params.min_weight - WEIGHT_EPS
+    rng = random.Random(params.rng_seed)
+    weights = g.weights
+    out = []
+    calls = 0
+    truncated = False
+
+    def rec(r_mask, p_mask, x_mask, r_weight):
+        nonlocal calls, truncated
+        calls += 1
+        if calls > params.max_calls:
+            truncated = True
+            return
+        if p_mask == 0 and x_mask == 0:
+            if r_mask and r_weight >= minw:
+                out.append(r_mask)
+            return
+        if prune and r_weight + _mask_weight(p_mask, weights) < minw:
+            return
+        u = choose_pivot(params.pivot_rule, g, p_mask, x_mask, rng)
+        ext = p_mask & (g.cadj[u] | (1 << u))
+        while ext:
+            low = ext & -ext
+            ext ^= low
+            v = low.bit_length() - 1
+            rec(r_mask | low, p_mask & g.adj[v], x_mask & g.adj[v],
+                r_weight + weights[v])
+            if truncated:
+                return
+            p_mask &= ~low
+            x_mask |= low
+
+    rec(0, full, 0, 0.0)
+    cliques = [
+        frozenset(g.nodes[i] for i in range(n) if mask >> i & 1)
+        for mask in out
+    ]
+    return BkResult(cliques, not truncated, calls)
+
+
+def _assert_same_as_reference(g, params, prune):
+    got = find_cliques(g, params, prune=prune)
+    ref = _reference_find_cliques(g, params, prune=prune)
+    assert got.cliques == ref.cliques, (params, prune)
+    assert (got.calls, got.exact) == (ref.calls, ref.exact), (params, prune)
+    return got
+
+
+def test_matches_recursive_reference():
+    rng = random.Random(37)
+    truncated = exact = 0
+    for _ in range(24):
+        n = rng.randint(1, 14)
+        adj, weights = gen.random_weighted_graph(rng, n, rng.uniform(0.1, 0.9))
+        # Shift ids so that node ids differ from local indices.
+        adj = {v + 3: {u + 3 for u in adj[v]} for v in adj}
+        weights = {v + 3: w for v, w in weights.items()}
+        g = _subgraph(adj, weights)
+        minw = rng.uniform(0.0, 2.0)
+        for rule in PIVOT_RULES:
+            for seed in (0, 1, 2):
+                for max_calls in (1, 3, 5, 17, 10**9):
+                    for prune in (True, False):
+                        params = BkParams(min_weight=minw, max_calls=max_calls,
+                                          pivot_rule=rule, rng_seed=seed)
+                        res = _assert_same_as_reference(g, params, prune)
+                        truncated += not res.exact
+                        exact += res.exact and res.calls > 1
+    assert truncated > 100 and exact > 100
+
+
+def test_matches_recursive_reference_deep():
+    # A 300-clique at 0.5, each member with a pendant neighbor, like a
+    # set-packing row with the complements of its literals.
+    k = 300
+    weights = {v: 0.5 for v in range(2 * k)}
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    edges += [(v, v + k) for v in range(k)]
+    g = WeightedSubgraph.from_edges(weights, edges)
+    for max_calls in (k // 2, 10**9):
+        res = _assert_same_as_reference(g, BkParams(min_weight=1.02, max_calls=max_calls),
+                                        prune=True)
+    assert res.exact and res.cliques == [frozenset(range(k))]
 
 
 def test_triangle_golden():

@@ -210,20 +210,52 @@ def _run_python(*args):
                           env=env, timeout=120)
 
 
-def test_unexpected_exception_exits_2(tmp_path):
-    # One 1,200-literal clique at 0.5 drives the recursive Bron-Kerbosch
-    # past the interpreter's recursion limit.
+def test_unexpected_exception_exits_2(triangle, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("cgcuts.cli.separate_cliques", boom)
+    mpath, ppath = triangle
+    assert main(["separate", "clique", mpath, ppath]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: RuntimeError: boom\n"
+
+
+def test_separate_clique_1200_literals(tmp_path, capsys):
+    # One clique deeper than the interpreter's recursion limit.
     n = 1200
     inst = MilpInstance(gen.binary_vars(n), [Row("pack", [(j, 1.0) for j in range(n)], "<=", 1.0)])
     mpath = tmp_path / "big.mps"
     mpath.write_text(write_mps(inst))
     ppath = tmp_path / "big.pnt"
     ppath.write_text("".join(f"x{j + 1} 0.5\n" for j in range(n)))
+    assert main(["separate", "clique", str(mpath), str(ppath)]) == 0
+    out = capsys.readouterr().out
+    expr = " + ".join(f"x{j + 1}" for j in range(n))
+    assert out == f"clique_0: {expr} <= 1  # violation=599.000000\n"
+
+
+def test_separate_clique_budget_warning(tmp_path):
+    # Two disjoint triangles at 0.5: four search nodes emit the first one,
+    # the fifth hits the budget.
+    inst = MilpInstance(gen.binary_vars(6), [
+        Row("t1", [(0, 1.0), (1, 1.0), (2, 1.0)], "<=", 1.0),
+        Row("t2", [(3, 1.0), (4, 1.0), (5, 1.0)], "<=", 1.0)])
+    mpath = tmp_path / "two.mps"
+    mpath.write_text(write_mps(inst))
+    ppath = tmp_path / "two.pnt"
+    ppath.write_text("".join(f"x{j} 0.5\n" for j in range(1, 7)))
+    proc = _run_python("-m", "cgcuts.cli", "separate", "clique", str(mpath), str(ppath),
+                       "--max-calls", "4")
+    assert proc.returncode == 0
+    assert proc.stdout == "clique_0: x1 + x2 + x3 <= 1  # violation=0.500000\n"
+    assert proc.stderr == ("Bron-Kerbosch stopped at its budget: 5 calls counted, "
+                           "max_calls 4; violated cliques may be missing\n")
     proc = _run_python("-m", "cgcuts.cli", "separate", "clique", str(mpath), str(ppath))
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: RecursionError: ")
-    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == ("clique_0: x1 + x2 + x3 <= 1  # violation=0.500000\n"
+                           "clique_1: x4 + x5 + x6 <= 1  # violation=0.500000\n")
 
 
 def test_cli_import_skips_numpy(triangle):

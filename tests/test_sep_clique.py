@@ -1,3 +1,4 @@
+import logging
 import random
 
 from cgcuts import (
@@ -24,6 +25,25 @@ def test_triangle_golden():
     assert cuts[0].members == frozenset({0, 1, 2})
     assert cuts[0].violation == 0.5
     assert cuts[0].lifted_members == frozenset()
+
+
+def test_budget_truncation_logs_one_warning(caplog):
+    inst = MilpInstance(gen.binary_vars(6), [
+        Row("t1", [(0, 1.0), (1, 1.0), (2, 1.0)], "<=", 1.0),
+        Row("t2", [(3, 1.0), (4, 1.0), (5, 1.0)], "<=", 1.0)])
+    g = build(inst)
+    point = FractionalPoint({j: 0.5 for j in range(6)})
+    with caplog.at_level(logging.WARNING, logger="cgcuts.sep_clique"):
+        cuts = separate_cliques(g, point, bk_params=BkParams(max_calls=4))
+    assert [c.members for c in cuts] == [frozenset({0, 1, 2})]
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("cgcuts.sep_clique", logging.WARNING,
+         "Bron-Kerbosch stopped at its budget: 5 calls counted, "
+         "max_calls 4; violated cliques may be missing")]
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="cgcuts"):
+        assert len(separate_cliques(g, point)) == 2
+    assert caplog.records == []
 
 
 def test_integral_point_no_cuts():
