@@ -123,16 +123,15 @@ def choose_pivot(rule: str, g: WeightedSubgraph, p_mask: int, x_mask: int,
     return best
 
 
-def find_cliques(g: WeightedSubgraph, params: BkParams, *,
-                 prune: bool = True) -> BkResult:
+def find_cliques(g: WeightedSubgraph, params: BkParams) -> BkResult:
     """Enumerate maximal cliques with weight >= params.min_weight.
 
     ``calls`` counts search nodes: a node is one (R, P, X) state, visited
     in depth-first order.  The search stops when node ``params.max_calls
     + 1`` is reached, which is counted too, and the result reports whether
     the run was exact.  Cliques already emitted are always maximal and
-    heavy enough, budget or not.  ``prune`` disables the weight bound for
-    A/B checks; it never changes the result set, only the call count.
+    heavy enough, budget or not.  A subtree is skipped when the weight of
+    R plus the weight of P cannot reach the threshold.
     """
     n = len(g)
     minw = params.min_weight - WEIGHT_EPS
@@ -140,31 +139,56 @@ def find_cliques(g: WeightedSubgraph, params: BkParams, *,
     rule = params.pivot_rule
     rng = random.Random(params.rng_seed)
     adj, cadj, weights = g.adj, g.cadj, g.weights
+    # deg, wgt and mwt score a vertex by the whole subgraph, so their
+    # scores are fixed for the search; rnd and mdg go through choose_pivot.
+    if rule == "deg":
+        scores = [float(a.bit_count()) for a in adj]
+    elif rule == "wgt":
+        scores = weights
+    elif rule == "mwt":
+        scores = [w + _mask_weight(a, weights) for w, a in zip(weights, adj)]
+    else:
+        scores = None
     out: list[int] = []
     calls = 0
     truncated = False
     # Frames are [R, P, X, weight of R, branch vertices not yet taken].
     stack: list[list] = []
-    node: tuple | None = (0, (1 << n) - 1, 0, 0.0)
-    while node is not None:
+    r_mask, p_mask, x_mask, r_weight = 0, (1 << n) - 1, 0, 0.0
+    while True:
+        # Visit a node with candidates (or the root of an empty graph).
         calls += 1
         if calls > max_calls:
             truncated = True
             break
-        r_mask, p_mask, x_mask, r_weight = node
-        if p_mask == 0 and x_mask == 0:
-            if r_mask and r_weight >= minw:
-                out.append(r_mask)
-        elif prune and r_weight + _mask_weight(p_mask, weights) < minw:
-            pass  # the weight bound cuts this subtree
-        else:
-            u = choose_pivot(rule, g, p_mask, x_mask, rng)
-            # P \ N(u); the pivot itself stays iterable when it sits in P.
-            stack.append([r_mask, p_mask, x_mask, r_weight,
-                          p_mask & (cadj[u] | 1 << u)])
+        if p_mask:
+            p_weight = 0.0
+            m = p_mask
+            while m:
+                low = m & -m
+                p_weight += weights[low.bit_length() - 1]
+                m ^= low
+            if r_weight + p_weight >= minw:
+                if scores is None:
+                    u = choose_pivot(rule, g, p_mask, x_mask, rng)
+                else:
+                    # Highest score in P | X; ties go to the smallest index.
+                    u = -1
+                    best = 0.0
+                    m = p_mask | x_mask
+                    while m:
+                        low = m & -m
+                        v = low.bit_length() - 1
+                        if u < 0 or scores[v] > best:
+                            u, best = v, scores[v]
+                        m ^= low
+                # P \ N(u); the pivot itself stays iterable when it sits in P.
+                stack.append([r_mask, p_mask, x_mask, r_weight,
+                              p_mask & (cadj[u] | 1 << u)])
         # The next node is the first untaken branch of the deepest frame.
-        # Its P and X are taken before the frame moves v from P to X.
-        node = None
+        # Its P and X are taken before the frame moves v from P to X.  A
+        # node without candidates is visited right here: it is a maximal
+        # clique when X is empty too, and a dead end otherwise.
         while stack:
             frame = stack[-1]
             ext = frame[4]
@@ -174,11 +198,28 @@ def find_cliques(g: WeightedSubgraph, params: BkParams, *,
             low = ext & -ext
             v = low.bit_length() - 1
             r_mask, p_mask, x_mask, r_weight, _ = frame
-            node = (r_mask | low, p_mask & adj[v], x_mask & adj[v],
-                    r_weight + weights[v])
             frame[1] = p_mask & ~low
             frame[2] = x_mask | low
             frame[4] = ext ^ low
+            r_mask |= low
+            p_mask &= adj[v]
+            x_mask &= adj[v]
+            r_weight += weights[v]
+            if p_mask:
+                break
+            calls += 1
+            if calls > max_calls:
+                truncated = True
+                break
+            if r_weight >= minw:
+                if not x_mask:
+                    out.append(r_mask)
+                elif rule == "rnd":
+                    # The pivot of a dead end still draws from the stream.
+                    choose_pivot(rule, g, 0, x_mask, rng)
+        else:
+            break  # the stack is empty: the search is done
+        if truncated:
             break
 
     nodes = g.nodes

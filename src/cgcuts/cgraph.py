@@ -172,7 +172,13 @@ class ConflictGraph:
         for c in st.adjfirst[a]:
             s.update(st.first[c])
         for t in st.adjaddtl[a]:
-            s.update(st.tuple_members(t))
+            lit, c, l = st.addtl[t]
+            if lit == a:
+                s.update(st.first[c][l - 1:])
+            else:
+                # A suffix member reaches the rest of the suffix through
+                # first[c], stored or dissolved into pairs.
+                s.add(lit)
         s.discard(a)
         result = tuple(sorted(s))
         self._nbrs[a] = result
@@ -208,20 +214,26 @@ class ConflictGraph:
 
 
 def greedy_extend(g: ConflictGraph, seed: Iterable[int],
-                  order_key: Callable[[int], tuple]) -> frozenset[int]:
+                  order_key: Callable[[int], tuple],
+                  common: Iterable[int] | None = None) -> frozenset[int]:
     """Greedily add literals conflicting with the whole seed and each other.
 
     The common neighborhood of the seed is visited in ``order_key`` order;
     a literal joins if it is still in the common neighborhood, which then
     shrinks to that literal's neighbors.  The seed need not be a clique.
     ``order_key`` must be a total order (every key ends in the node id),
-    so the result does not depend on set iteration order.
+    so the result does not depend on set iteration order.  A caller that
+    already knows the common neighborhood (or the part of it that can
+    join) passes it as ``common``.
     """
     ext = set(seed)
     if not ext:
         return frozenset()
-    nbrs = sorted((g.neighbors(m) for m in ext), key=len)
-    common = set(nbrs[0]).intersection(*nbrs[1:])
+    if common is None:
+        nbrs = sorted((g.neighbors(m) for m in ext), key=len)
+        common = set(nbrs[0]).intersection(*nbrs[1:])
+    else:
+        common = set(common)
     for lit in sorted(common, key=order_key):
         if lit in common:
             ext.add(lit)

@@ -16,7 +16,8 @@ def _subgraph(adj, weights):
 
 def _reference_find_cliques(g, params, *, prune=True):
     """The recursive search with a bit-scan decode, kept as the reference
-    for the explicit-stack version."""
+    for the explicit-stack version.  ``prune=False`` turns the weight bound
+    off, for the check that the bound never changes the clique set."""
     n = len(g)
     full = (1 << n) - 1
     minw = params.min_weight - WEIGHT_EPS
@@ -59,11 +60,11 @@ def _reference_find_cliques(g, params, *, prune=True):
     return BkResult(cliques, not truncated, calls)
 
 
-def _assert_same_as_reference(g, params, prune):
-    got = find_cliques(g, params, prune=prune)
-    ref = _reference_find_cliques(g, params, prune=prune)
-    assert got.cliques == ref.cliques, (params, prune)
-    assert (got.calls, got.exact) == (ref.calls, ref.exact), (params, prune)
+def _assert_same_as_reference(g, params):
+    got = find_cliques(g, params)
+    ref = _reference_find_cliques(g, params)
+    assert got.cliques == ref.cliques, params
+    assert (got.calls, got.exact) == (ref.calls, ref.exact), params
     return got
 
 
@@ -81,12 +82,11 @@ def test_matches_recursive_reference():
         for rule in PIVOT_RULES:
             for seed in (0, 1, 2):
                 for max_calls in (1, 3, 5, 17, 10**9):
-                    for prune in (True, False):
-                        params = BkParams(min_weight=minw, max_calls=max_calls,
-                                          pivot_rule=rule, rng_seed=seed)
-                        res = _assert_same_as_reference(g, params, prune)
-                        truncated += not res.exact
-                        exact += res.exact and res.calls > 1
+                    params = BkParams(min_weight=minw, max_calls=max_calls,
+                                      pivot_rule=rule, rng_seed=seed)
+                    res = _assert_same_as_reference(g, params)
+                    truncated += not res.exact
+                    exact += res.exact and res.calls > 1
     assert truncated > 100 and exact > 100
 
 
@@ -99,8 +99,7 @@ def test_matches_recursive_reference_deep():
     edges += [(v, v + k) for v in range(k)]
     g = WeightedSubgraph.from_edges(weights, edges)
     for max_calls in (k // 2, 10**9):
-        res = _assert_same_as_reference(g, BkParams(min_weight=1.02, max_calls=max_calls),
-                                        prune=True)
+        res = _assert_same_as_reference(g, BkParams(min_weight=1.02, max_calls=max_calls))
     assert res.exact and res.cliques == [frozenset(range(k))]
 
 
@@ -168,7 +167,7 @@ def test_pruning_only_changes_call_counts():
         g = _subgraph(adj, weights)
         params = BkParams(min_weight=1.2, max_calls=10**9)
         pruned = find_cliques(g, params)
-        free = find_cliques(g, params, prune=False)
+        free = _reference_find_cliques(g, params, prune=False)
         assert set(pruned.cliques) == set(free.cliques)
         assert pruned.calls <= free.calls
 

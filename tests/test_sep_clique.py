@@ -1,5 +1,7 @@
 import logging
 import random
+from collections import Counter
+from dataclasses import replace
 
 from cgcuts import (
     BkParams,
@@ -9,9 +11,11 @@ from cgcuts import (
     build,
     cut_to_row,
     extend_cut,
+    find_cliques,
     separate_cliques,
 )
-from cgcuts.sep_clique import fractional_subgraph
+from cgcuts.bk import WeightedSubgraph
+from cgcuts.sep_clique import CliqueCut, fractional_subgraph
 from cgcuts.oracle import enum_conflict_feasible, enum_maximal_cliques, probe_pairs
 
 import gen
@@ -102,8 +106,6 @@ def test_extend_cut_value_fallback_order():
 
 
 def test_cut_to_row_goldens():
-    from cgcuts.sep_clique import CliqueCut
-
     n = 4
     row = cut_to_row(CliqueCut(frozenset({0, 1}), 0.0, frozenset()), n)
     assert row.coeffs == [(0, 1.0), (1, 1.0)] and row.rhs == 1.0
@@ -171,8 +173,6 @@ def test_pre_extension_cliques_match_oracle():
         weights = dict(zip(sub.nodes, sub.weights))
         expect = enum_maximal_cliques(adj, weights, 1.0 + min_viol)
 
-        from cgcuts import find_cliques
-
         res = find_cliques(sub, BkParams(min_weight=1.0 + min_viol, max_calls=10**9))
         assert res.exact
         assert set(res.cliques) == expect
@@ -188,3 +188,114 @@ def test_cuts_sorted_by_violation():
         viols = [c.violation for c in cuts]
         assert viols == sorted(viols, reverse=True)
         assert len({tuple(sorted(c.members)) for c in cuts}) == len(cuts)
+
+
+def _reference_fractional_subgraph(g, point):
+    """The subgraph as built from a list of edge tuples, with no filter."""
+    n = g.n_vars
+    weights = {}
+    for j in range(n):
+        v = point.var_value(j)
+        if 1e-6 < v < 1.0 - 1e-6:
+            weights[j] = v
+            weights[j + n] = 1.0 - v
+    edges = [(a, b) for a in weights for b in g.neighbors(a) if b > a and b in weights]
+    return WeightedSubgraph.from_edges(weights, edges)
+
+
+def _reference_separate_cliques(g, point, min_viol, bk_params):
+    """The separator before subgraph filtering and candidate lists: every
+    clique extends over its whole common neighborhood, and the first of
+    two cliques with the same extension wins."""
+    sub = _reference_fractional_subgraph(g, point)
+    if not sub.nodes:
+        return []
+    params = replace(bk_params, min_weight=1.0 + min_viol)
+    n = g.n_vars
+    cuts = {}
+    for clique in find_cliques(sub, params).cliques:
+        ext = extend_cut(g, clique, point)
+        key = tuple(sorted(ext))
+        if key not in cuts:
+            violation = sum(point.lit_value(v, n) for v in ext) - 1.0
+            cuts[key] = CliqueCut(ext, violation, ext - clique)
+    return sorted(cuts.values(), key=lambda c: (-c.violation, tuple(sorted(c.members))))
+
+
+def _exactness_cases(seed, count):
+    """Seeded (graph, point, min_viol) cases: values from {0, 1, 0.5,
+    uniform}, reduced costs on and off, three clique-store thresholds and
+    three violation thresholds."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.4:
+            inst = gen.random_setpacking_instance(rng, n_vars=rng.randint(4, 12))
+        elif kind < 0.8:
+            inst = gen.random_binary_instance(rng, n_vars=rng.randint(6, 16),
+                                              n_rows=rng.randint(2, 8))
+        else:
+            # A sparse edge formulation: node ids large enough that a
+            # set's iteration order is not its sorted order.
+            n = rng.randint(30, 60)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < 0.15]
+            inst = MilpInstance(gen.binary_vars(n), gen.pair_rows(pairs))
+        n = inst.n_vars
+        values = {j: rng.choice([0.0, 1.0, 0.5, rng.random()]) for j in range(n)}
+        costs = {j: float(rng.randint(-3, 3)) for j in range(n)}
+        points = (FractionalPoint(values), FractionalPoint(values, costs))
+        for mcs in (0, 4, 512):
+            g = build(inst, min_clq_size=mcs)
+            for point in points:
+                for min_viol in (0.0, 0.02, 0.3):
+                    yield g, point, min_viol
+
+
+def test_separation_matches_reference_pipeline():
+    covered = Counter()
+    params = BkParams(max_calls=10**9)
+    for g, point, min_viol in _exactness_cases(61, 80):
+        got = separate_cliques(g, point, min_viol, params)
+        ref = _reference_separate_cliques(g, point, min_viol, params)
+        assert ([(c.members, repr(c.violation), c.lifted_members) for c in got]
+                == [(c.members, repr(c.violation), c.lifted_members) for c in ref])
+        covered["cuts"] += len(got)
+        covered["lifted"] += sum(len(c.lifted_members) for c in got)
+        covered["filtered"] += (len(_reference_fractional_subgraph(g, point))
+                                - len(fractional_subgraph(g, point, 1.0 + min_viol)))
+        covered["tuples"] += bool(g.store.addtl)
+        covered["reduced costs"] += point.reduced_costs is not None and bool(got)
+    assert all(covered[k] >= 20 for k in
+               ("cuts", "lifted", "filtered", "tuples", "reduced costs")), covered
+
+
+def test_filtered_subgraph_keeps_every_violated_clique():
+    filtered = 0
+    for g, point, min_viol in _exactness_cases(62, 40):
+        min_weight = 1.0 + min_viol
+        params = BkParams(min_weight=min_weight, max_calls=10**9)
+        full = fractional_subgraph(g, point)
+        ref = _reference_fractional_subgraph(g, point)
+        assert (full.nodes, full.weights, full.adj, full.cadj) == (
+            ref.nodes, ref.weights, ref.adj, ref.cadj)
+        sub = fractional_subgraph(g, point, min_weight)
+        filtered += len(full) - len(sub)
+        assert set(find_cliques(sub, params).cliques) == set(find_cliques(full, params).cliques)
+    assert filtered > 0
+
+
+def test_cut_fractional_members_are_its_clique():
+    lifted = 0
+    for g, point, min_viol in _exactness_cases(63, 40):
+        sub = fractional_subgraph(g, point, 1.0 + min_viol)
+        frac = set(fractional_subgraph(g, point).nodes)
+        cliques = set(find_cliques(sub, BkParams(min_weight=1.0 + min_viol,
+                                                 max_calls=10**9)).cliques)
+        cuts = separate_cliques(g, point, min_viol, BkParams(max_calls=10**9))
+        assert len(cuts) == len(cliques)
+        assert {c.members & frac for c in cuts} == cliques
+        for c in cuts:
+            assert c.members - c.lifted_members == c.members & frac
+        lifted += sum(len(c.lifted_members) for c in cuts)
+    assert lifted > 0
