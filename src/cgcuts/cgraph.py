@@ -9,11 +9,13 @@ expanded, which is what keeps the loop out of quadratic territory.
 
 After construction, every stored clique whose size is at most
 ``min_clq_size`` is dissolved into plain pairwise adjacency entries; the
-remaining large cliques stay in the tuple store.  ``neighbors`` is the one
-walk over the adjacency lists and the clique indices; ``conflicting`` and
-``degree`` read its cached sorted tuple, so the split is invisible to
-callers.  The trivial conflict between a literal and its complement is
-never stored and always reported.
+remaining large cliques stay in the tuple store.  One walk over the
+adjacency lists and the clique indices serves two queries: ``neighbors``
+caches a sorted tuple per literal, which ``conflicting`` and ``degree``
+read, and ``conflicts_among`` lists the conflicts inside a set of literals
+without caching, so the split is invisible to callers.  The trivial
+conflict between a literal and its complement is never stored and always
+reported.
 
 ``greedy_extend`` grows a set of literals by intersecting neighbor lists;
 clique strengthening, clique-cut extension and odd-wheel lifting all call
@@ -166,23 +168,52 @@ class ConflictGraph:
         cached = self._nbrs.get(a)
         if cached is not None:
             return cached
-        st = self.store
-        s = set(self.adjlist[a])
-        s.add(self.complement(a))
-        for c in st.adjfirst[a]:
-            s.update(st.first[c])
-        for t in st.adjaddtl[a]:
-            lit, c, l = st.addtl[t]
-            if lit == a:
-                s.update(st.first[c][l - 1:])
-            else:
-                # A suffix member reaches the rest of the suffix through
-                # first[c], stored or dissolved into pairs.
-                s.add(lit)
-        s.discard(a)
-        result = tuple(sorted(s))
+        result = tuple(sorted(self._walk((a,))[a]))
         self._nbrs[a] = result
         return result
+
+    def conflicts_among(self, lits: Iterable[int]) -> dict[int, list[int]]:
+        """For each literal of ``lits``, the sorted literals of ``lits``
+        conflicting with it.  Fills no cache: a stored clique is read once
+        for the whole set, not once per member."""
+        within = set(lits)
+        return {a: sorted(s) for a, s in self._walk(within, within).items()}
+
+    def _walk(self, lits: Iterable[int],
+              within: set[int] | None = None) -> dict[int, set[int]]:
+        """The one walk over the adjacency lists and the clique indices:
+        for each literal of ``lits``, the literals conflicting with it (only
+        those in ``within`` when given).  A stored clique is filtered once,
+        however many of ``lits`` it holds, and a tuple's suffix is read
+        only by its outside literal."""
+        st = self.store
+        out: dict[int, set[int]] = {}
+        inside: dict[int, set[int]] = {}  # stored clique -> its members in ``within``
+        for a in lits:
+            s = set(self.adjlist[a])
+            s.add(self.complement(a))
+            if within is not None:
+                s.intersection_update(within)
+            for c in st.adjfirst[a]:
+                if within is None:
+                    s.update(st.first[c])
+                else:
+                    members = inside.get(c)
+                    if members is None:
+                        members = inside[c] = within.intersection(st.first[c])
+                    s.update(members)
+            for t in st.adjaddtl[a]:
+                lit, c, l = st.addtl[t]
+                if lit == a:  # the one holder that reads the suffix
+                    suffix = st.first[c][l - 1:]
+                    s.update(suffix if within is None else within.intersection(suffix))
+                elif within is None or lit in within:
+                    # A suffix member reaches the rest of the suffix through
+                    # first[c], stored or dissolved into pairs.
+                    s.add(lit)
+            s.discard(a)
+            out[a] = s
+        return out
 
     def degree(self, a: int) -> int:
         return len(self.neighbors(a))

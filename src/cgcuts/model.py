@@ -188,8 +188,11 @@ class FractionalPoint:
 
     def __post_init__(self):
         for j, v in self.values.items():
-            if v < -EPS or v > 1.0 + EPS:
+            if not -EPS <= v <= 1.0 + EPS:  # NaN fails this too
                 raise ValueError(f"value {v} for variable index {j} outside [0, 1]")
+        for j, rc in (self.reduced_costs or {}).items():
+            if math.isnan(rc):
+                raise ValueError(f"reduced cost NaN for variable index {j}")
         self.values = {j: min(1.0, max(0.0, v)) for j, v in self.values.items()}
 
     def var_value(self, j: int) -> float:
@@ -461,7 +464,8 @@ def read_point(source: str | TextIO, instance: MilpInstance) -> FractionalPoint:
     """Read a point file: ``name value [reduced_cost]`` lines, ``#`` comments.
 
     Binary values must lie in [0, 1] (tiny float slop is clamped); entries
-    for non-binary variables are ignored; unknown names are errors.
+    for non-binary variables are ignored; unknown names and NaN values or
+    reduced costs are errors.
     """
     text = source if isinstance(source, str) else source.read()
     values: dict[int, float] = {}
@@ -488,6 +492,8 @@ def read_point(source: str | TextIO, instance: MilpInstance) -> FractionalPoint:
             rc = float(tokens[2]) if len(tokens) == 3 else None
         except ValueError:
             raise ParseError(lineno, "bad numeric value") from None
+        if math.isnan(value) or (rc is not None and math.isnan(rc)):
+            raise ParseError(lineno, f"NaN for variable {vname!r}")
         if not instance.is_binary(j):
             continue
         if value < -EPS or value > 1.0 + EPS:

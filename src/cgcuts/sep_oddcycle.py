@@ -7,9 +7,18 @@ the two copies of a literal projects to a closed odd walk; its simple odd
 cycles of length >= 5 whose induced edges cost less than 0.5 are violated
 cuts.  The search keeps its distances and predecessors in flat lists
 indexed by auxiliary node id, and literals with no auxiliary edge are not
-searched from, since their two copies cannot be joined.  Each kept cycle
-is lifted by a clique of literals conflicting with the whole cycle,
-turning it into an odd wheel.
+searched from, since their two copies cannot be joined.
+
+No search enters a dead end, a literal with exactly one auxiliary
+neighbor: a simple path between two other nodes never passes through it,
+and settling it never lowers another distance (weights are >= 0 and
+relaxation is strict), so every other search settles the same nodes in
+the same order with the same predecessors.  A dead end's own search
+leaves by its one arc and stops at the opposite copy of its neighbor,
+from which the forced last arc closes the path; a lone edge, two dead
+ends joined, holds no cycle and is not searched.  Each kept cycle is
+lifted by a clique of literals conflicting with the whole cycle, turning
+it into an odd wheel.
 """
 
 from __future__ import annotations
@@ -66,18 +75,17 @@ def build_auxiliary(g: ConflictGraph, point: FractionalPoint,
         nodes = [v for v in range(2 * n) if point.lit_value(v, n) > FRAC_EPS]
     nodes = sorted(nodes)
     index = {v: i for i, v in enumerate(nodes)}
+    value = [point.lit_value(v, n) for v in nodes]
+    near = g.conflicts_among(nodes)
     adj: list[list[tuple[int, float]]] = [[] for _ in range(2 * len(nodes))]
     clamped = 0
-    for a in nodes:
-        ia = index[a]
-        va = point.lit_value(a, n)
-        for b in g.neighbors(a):
+    for ia, a in enumerate(nodes):
+        va = value[ia]
+        for b in near[a]:
             if b <= a:
                 continue
-            ib = index.get(b)
-            if ib is None:
-                continue
-            w = (1.0 - va - point.lit_value(b, n)) / 2.0
+            ib = index[b]
+            w = (1.0 - va - value[ib]) / 2.0
             if w < 0.0:
                 w = 0.0
                 clamped += 1
@@ -90,12 +98,12 @@ def build_auxiliary(g: ConflictGraph, point: FractionalPoint,
     return AuxiliaryGraph(nodes, adj, clamped)
 
 
-def _shortest_path(aux: AuxiliaryGraph, source: int, target: int) -> list[int] | None:
-    adj = aux.adj
+def _shortest_path(adj: list[list[tuple[int, float]]], source: int,
+                   target: int) -> list[int] | None:
     push, pop = heapq.heappush, heapq.heappop
     inf = float("inf")
-    dist = [inf] * aux.n_aux
-    prev = [-1] * aux.n_aux
+    dist = [inf] * len(adj)
+    prev = [-1] * len(adj)
     dist[source] = 0.0
     heap = [(0.0, source)]
     while heap:
@@ -160,40 +168,57 @@ def lift_center(g: ConflictGraph, cycle: Sequence[int],
 def separate_odd_cycles(g: ConflictGraph, point: FractionalPoint) -> list[OddCycleCut]:
     """Return violated odd-cycle (wheel) cuts, best first.
 
-    One shortest-path query per active literal; a recovered cycle is kept
-    when it has odd length >= 5 and the edges of its induced subgraph
-    (chords included) cost less than 0.5.  Cycles are deduplicated on
-    their canonical rotation/reflection.
+    One shortest-path query per active literal with an auxiliary edge
+    (lone edges excepted), on the double cover less its arcs into dead
+    ends; a recovered cycle is kept when it has odd length >= 5 and the
+    edges of its induced subgraph (chords included) cost less than 0.5.
+    Cycles are deduplicated on their canonical rotation/reflection.
     """
     n = g.n_vars
-    aux = build_auxiliary(g, point)
+    value = [point.lit_value(v, n) for v in range(2 * n)]
+    aux = build_auxiliary(g, point, [v for v in range(2 * n) if value[v] > FRAC_EPS])
+    lits, adj = aux.nodes, aux.adj
+    dead = [len(adj[2 * i]) == 1 for i in range(len(lits))]
+    live = [[arc for arc in arcs if not dead[arc[0] >> 1]] for arcs in adj]
+    near = [{v >> 1 for v, _ in arcs} for arcs in adj[::2]]
     kept: dict[tuple[int, ...], None] = {}
-    for local in range(len(aux.nodes)):
-        if not aux.adj[2 * local]:
+    for local in range(len(lits)):
+        arcs = adj[2 * local]
+        if not arcs:
             continue  # no edge: the two copies cannot be joined
-        path = _shortest_path(aux, 2 * local, 2 * local + 1)
+        if dead[local]:
+            # The path leaves by the one arc and must return by its twin,
+            # from the other copy of the same neighbor.
+            last = arcs[0][0] ^ 1
+            if dead[last >> 1]:
+                continue  # a lone edge holds no cycle
+            path = _shortest_path(live, 2 * local, last)
+            if path is not None:
+                path.append(2 * local + 1)
+        else:
+            path = _shortest_path(live, 2 * local, 2 * local + 1)
         if path is None:
             continue
         assert (len(path) - 1) % 2 == 1, "bipartite path must have odd length"
-        walk = [aux.nodes[a >> 1] for a in path]
-        for cyc in _walk_cycles(walk):
+        for cyc in _walk_cycles([a >> 1 for a in path]):
             if len(cyc) < 5 or len(cyc) % 2 == 0:
                 continue
             cost = 0.0
             for i, a in enumerate(cyc):
+                va = value[lits[a]]
                 for b in cyc[i + 1:]:
-                    if g.conflicting(a, b):
-                        w = (1.0 - point.lit_value(a, n) - point.lit_value(b, n)) / 2.0
+                    if b in near[a]:
+                        w = (1.0 - va - value[lits[b]]) / 2.0
                         cost += max(0.0, w)
             if cost < 0.5 - 1e-9:
-                kept.setdefault(_canonical_cycle(cyc))
+                kept.setdefault(_canonical_cycle([lits[a] for a in cyc]))
     cuts = []
     for cycle in kept:
         center = lift_center(g, cycle, point)
         half = (len(cycle) - 1) // 2
         violation = (
-            sum(point.lit_value(v, n) for v in cycle)
-            + half * sum(point.lit_value(v, n) for v in center)
+            sum(value[v] for v in cycle)
+            + half * sum(value[v] for v in center)
             - half
         )
         cuts.append(OddCycleCut(cycle, center, violation))

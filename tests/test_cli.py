@@ -151,6 +151,19 @@ def test_error_exit_codes(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_nan_in_point_exits_2(tmp_path, capsys):
+    # max(0.0, nan) is 0.0: a NaN once read as a zero and gave exit 1.
+    mpath = tmp_path / "c5.mps"
+    mpath.write_text(write_mps(gen.five_cycle_instance()))
+    for point in ("x2 nan\n", "x2 0.5 nan\n"):
+        ppath = tmp_path / "p.txt"
+        ppath.write_text("x1 0.5\n" + point + "x3 0.5\nx4 0.5\nx5 0.5\n")
+        assert main(["separate", "oddcycle", str(mpath), str(ppath)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: NaN for variable 'x2'\n"
+
+
 def test_usage_error_missing_point(triangle):
     mpath, _ = triangle
     with pytest.raises(SystemExit) as exc:

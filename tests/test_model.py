@@ -195,6 +195,14 @@ def test_read_point_range_error():
         read_point("x1 1.2\n", inst)
 
 
+def test_read_point_rejects_nan():
+    inst = parse_mps(MINIMAL_MPS)
+    for text in ("x1 nan\n", "x1 NaN 1.0\n", "x2 0.5\nx1 0.5 nan\n"):
+        with pytest.raises(ParseError, match="NaN for variable 'x1'") as exc:
+            read_point(text, inst)
+        assert f"line {text.count(chr(10))}" in str(exc.value)
+
+
 def test_read_point_unknown_name():
     inst = parse_mps(MINIMAL_MPS)
     with pytest.raises(ParseError) as exc:
@@ -217,6 +225,13 @@ def test_fractional_point_validates():
     p = FractionalPoint({0: 0.25})
     assert p.lit_value(0, 1) == 0.25
     assert p.lit_value(1, 1) == 0.75
+
+
+def test_fractional_point_rejects_nan():
+    with pytest.raises(ValueError, match="outside"):
+        FractionalPoint({0: math.nan})
+    with pytest.raises(ValueError, match="NaN"):
+        FractionalPoint({0: 0.5}, {0: math.nan})
 
 
 def test_literals_to_row_merges_complement_pairs():

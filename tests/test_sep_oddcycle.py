@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,14 @@ from cgcuts import (
     oddwheel_to_row,
     separate_odd_cycles,
 )
-from cgcuts.sep_oddcycle import OddCycleCut, _walk_cycles
+from cgcuts.sep_clique import FRAC_EPS
+from cgcuts.sep_oddcycle import (
+    AuxiliaryGraph,
+    OddCycleCut,
+    _canonical_cycle,
+    _shortest_path,
+    _walk_cycles,
+)
 from cgcuts.oracle import enum_conflict_feasible, enum_odd_cycles, probe_pairs
 
 import gen
@@ -327,3 +335,118 @@ def test_search_matches_recorded_cuts(seed):
     cuts = separate_odd_cycles(g, point)
     got = [(c.cycle, tuple(sorted(c.center)), round(c.violation, 9)) for c in cuts]
     assert got == EXACT_CUTS[seed]
+
+
+def _reference_auxiliary(g, point):
+    """The double cover as built from each active literal's cached
+    ``neighbors`` tuple."""
+    n = g.n_vars
+    nodes = [v for v in range(2 * n) if point.lit_value(v, n) > FRAC_EPS]
+    index = {v: i for i, v in enumerate(nodes)}
+    adj = [[] for _ in range(2 * len(nodes))]
+    clamped = 0
+    for a in nodes:
+        ia = index[a]
+        va = point.lit_value(a, n)
+        for b in g.neighbors(a):
+            if b <= a or b not in index:
+                continue
+            ib = index[b]
+            w = (1.0 - va - point.lit_value(b, n)) / 2.0
+            if w < 0.0:
+                w = 0.0
+                clamped += 1
+            adj[2 * ia].append((2 * ib + 1, w))
+            adj[2 * ib + 1].append((2 * ia, w))
+            adj[2 * ia + 1].append((2 * ib, w))
+            adj[2 * ib].append((2 * ia + 1, w))
+    return AuxiliaryGraph(nodes, adj, clamped)
+
+
+def _reference_separate_odd_cycles(g, point):
+    """The search without dead-end pruning: every literal with an
+    auxiliary edge is searched from on the full double cover, and chord
+    costs come from ``conflicting``.  Also returns, per kept cycle, the
+    literals whose search found it."""
+    n = g.n_vars
+    aux = _reference_auxiliary(g, point)
+    found = {}
+    for local in range(len(aux.nodes)):
+        if not aux.adj[2 * local]:
+            continue
+        path = _shortest_path(aux.adj, 2 * local, 2 * local + 1)
+        if path is None:
+            continue
+        walk = [aux.nodes[a >> 1] for a in path]
+        for cyc in _walk_cycles(walk):
+            if len(cyc) < 5 or len(cyc) % 2 == 0:
+                continue
+            cost = 0.0
+            for i, a in enumerate(cyc):
+                for b in cyc[i + 1:]:
+                    if g.conflicting(a, b):
+                        w = (1.0 - point.lit_value(a, n) - point.lit_value(b, n)) / 2.0
+                        cost += max(0.0, w)
+            if cost < 0.5 - 1e-9:
+                found.setdefault(_canonical_cycle(cyc), []).append(aux.nodes[local])
+    cuts = []
+    for cycle in found:
+        center = lift_center(g, cycle, point)
+        half = (len(cycle) - 1) // 2
+        violation = (sum(point.lit_value(v, n) for v in cycle)
+                     + half * sum(point.lit_value(v, n) for v in center) - half)
+        cuts.append(OddCycleCut(cycle, center, violation))
+    return sorted(cuts, key=lambda c: (-c.violation, c.cycle)), found
+
+
+def _cut_list(cuts):
+    return [(c.cycle, tuple(sorted(c.center)), repr(c.violation)) for c in cuts]
+
+
+def _exactness_cases():
+    for seed in range(400):
+        inst, point = _exactness_fixture(seed)
+        yield f"exactness seed {seed}", build(inst, min_clq_size=4), point
+    rng = random.Random(64)
+    for draw in range(150):
+        inst, point = _random_cycle_fixture(rng)
+        yield f"random cycle draw {draw}", build(inst), point
+
+
+def test_pruned_search_matches_reference_pipeline():
+    covered = Counter()
+    for case, g, point in _exactness_cases():
+        ref, found = _reference_separate_odd_cycles(g, point)
+        assert _cut_list(separate_odd_cycles(g, point)) == _cut_list(ref), case
+        aux = _reference_auxiliary(g, point)
+        dead = {aux.nodes[i]: aux.nodes[aux.adj[2 * i][0][0] >> 1]
+                for i in range(len(aux.nodes)) if len(aux.adj[2 * i]) == 1}
+        covered["dead-end sources"] += sum(1 for b in dead.values() if b not in dead)
+        covered["lone edges"] += sum(1 for b in dead.values() if b in dead)
+        covered["cuts"] += len(ref)
+        covered["cuts only from dead ends"] += sum(
+            1 for sources in found.values() if all(v in dead for v in sources))
+    # Seeds 278 and 352 hold a cycle that only dead-end sources find.
+    floors = {"dead-end sources": 1000, "lone edges": 50, "cuts": 500,
+              "cuts only from dead ends": 2}
+    assert all(covered[k] >= floor for k, floor in floors.items()), covered
+
+
+def test_auxiliary_matches_neighbors_and_leaves_cache_empty():
+    rng = random.Random(65)
+    cases = [(_exactness_fixture(seed), 4) for seed in range(40)]
+    for _ in range(40):
+        inst = gen.random_binary_instance(rng, n_vars=rng.randint(6, 16))
+        cases.append(((inst, gen.random_point(rng, inst)), rng.choice([0, 4, 512])))
+    inst = gen.tuple_store_instance()
+    cases += [((inst, gen.random_point(rng, inst)), mcs) for mcs in (0, 4, 512)]
+    stored = tuples = 0
+    for (inst, point), mcs in cases:
+        g = build(inst, min_clq_size=mcs)
+        stored += any(g.store.first_stored)
+        tuples += bool(g.store.addtl)
+        aux = build_auxiliary(g, point)
+        assert not g._nbrs
+        ref = _reference_auxiliary(g, point)
+        assert (aux.nodes, aux.adj, aux.clamped_edges) == (ref.nodes, ref.adj, ref.clamped_edges)
+    assert stored >= 20 and tuples >= 5
