@@ -16,7 +16,7 @@ row = Row("c1", [(0, -3.0), (1, 4.0), (2, -5.0), (3, 6.0), (4, 7.0), (5, 8.0)], 
 inst = MilpInstance(variables, [row], name="DEMO1")
 
 # Negative coefficients flip to the complemented literal and raise the rhs:
-[knap] = normalize_to_knapsack(row, inst, 0)
+[knap] = normalize_to_knapsack(row, inst)
 print("knapsack form rhs:", knap.rhs)
 print("literals:", [(inst.node_name(lit), a) for lit, a in knap.literals])
 

@@ -9,7 +9,6 @@ from .bk import BkParams, BkResult, WeightedSubgraph, choose_pivot, find_cliques
 from .cgraph import (
     CliqueStore,
     ConflictGraph,
-    DetectStats,
     RowCliques,
     build,
     detect_cliques,
@@ -45,7 +44,6 @@ __all__ = [
     "CliqueCut",
     "CliqueStore",
     "ConflictGraph",
-    "DetectStats",
     "FractionalPoint",
     "KnapsackRow",
     "MilpInstance",

@@ -6,11 +6,14 @@ The search enumerates maximal cliques whose weight reaches ``min_weight``,
 skipping any subtree where the weight of the current clique plus all
 remaining candidates cannot reach it.  It runs on an explicit stack of
 frames, not by recursion, so clique size is not bounded by the
-interpreter's recursion limit.
+interpreter's recursion limit.  Every search node is counted and visited
+at one place, and a node's branch set is P minus the pivot's adjacency
+row, so no complement rows are kept.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -25,14 +28,12 @@ class WeightedSubgraph:
     """A small vertex-weighted graph with bitmask adjacency.
 
     ``nodes`` are the external ids (ascending); all masks are over local
-    indices.  ``cadj[v]`` is the complement row: non-neighbors of v minus
-    v itself.
+    indices.
     """
 
     nodes: list[int]
     weights: list[float]
     adj: list[int]
-    cadj: list[int]
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -48,9 +49,7 @@ class WeightedSubgraph:
             u, v = tuple(e)
             adj[index[u]] |= 1 << index[v]
             adj[index[v]] |= 1 << index[u]
-        full = (1 << n) - 1
-        cadj = [full ^ adj[i] ^ (1 << i) for i in range(n)]
-        return cls(nodes, [weights[v] for v in nodes], adj, cadj)
+        return cls(nodes, [weights[v] for v in nodes], adj)
 
 
 @dataclass
@@ -61,6 +60,8 @@ class BkParams:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.min_weight):
+            raise ValueError(f"min_weight must be finite, not {self.min_weight!r}")
         if self.max_calls < 1:
             raise ValueError("max_calls must be at least 1")
         if self.pivot_rule not in PIVOT_RULES:
@@ -127,18 +128,20 @@ def find_cliques(g: WeightedSubgraph, params: BkParams) -> BkResult:
     """Enumerate maximal cliques with weight >= params.min_weight.
 
     ``calls`` counts search nodes: a node is one (R, P, X) state, visited
-    in depth-first order.  The search stops when node ``params.max_calls
-    + 1`` is reached, which is counted too, and the result reports whether
-    the run was exact.  Cliques already emitted are always maximal and
-    heavy enough, budget or not.  A subtree is skipped when the weight of
-    R plus the weight of P cannot reach the threshold.
+    in depth-first order at the top of one loop.  A node with candidates
+    pushes a frame whose branches are P minus the pivot's neighbors; a node
+    without them emits R when X is empty too.  The search stops when node
+    ``params.max_calls + 1`` is reached, which is counted too, so the run
+    was exact iff ``calls <= max_calls``.  Cliques already emitted are
+    always maximal and heavy enough, budget or not.  A subtree is skipped
+    when the weight of R plus the weight of P cannot reach the threshold.
     """
     n = len(g)
     minw = params.min_weight - WEIGHT_EPS
     max_calls = params.max_calls
     rule = params.pivot_rule
     rng = random.Random(params.rng_seed)
-    adj, cadj, weights = g.adj, g.cadj, g.weights
+    adj, weights = g.adj, g.weights
     # deg, wgt and mwt score a vertex by the whole subgraph, so their
     # scores are fixed for the search; rnd and mdg go through choose_pivot.
     if rule == "deg":
@@ -151,15 +154,13 @@ def find_cliques(g: WeightedSubgraph, params: BkParams) -> BkResult:
         scores = None
     out: list[int] = []
     calls = 0
-    truncated = False
     # Frames are [R, P, X, weight of R, branch vertices not yet taken].
     stack: list[list] = []
     r_mask, p_mask, x_mask, r_weight = 0, (1 << n) - 1, 0, 0.0
     while True:
-        # Visit a node with candidates (or the root of an empty graph).
+        # Visit the node (R, P, X).
         calls += 1
         if calls > max_calls:
-            truncated = True
             break
         if p_mask:
             p_weight = 0.0
@@ -182,45 +183,36 @@ def find_cliques(g: WeightedSubgraph, params: BkParams) -> BkResult:
                         if u < 0 or scores[v] > best:
                             u, best = v, scores[v]
                         m ^= low
-                # P \ N(u); the pivot itself stays iterable when it sits in P.
-                stack.append([r_mask, p_mask, x_mask, r_weight,
-                              p_mask & (cadj[u] | 1 << u)])
+                # P minus N(u): the pivot itself stays when it sits in P.
+                stack.append([r_mask, p_mask, x_mask, r_weight, p_mask & ~adj[u]])
+        elif r_weight >= minw:
+            # No candidates: R is maximal when X is empty too, and a dead
+            # end otherwise, whose pivot still draws from the rnd stream.
+            if x_mask:
+                if rule == "rnd":
+                    choose_pivot(rule, g, 0, x_mask, rng)
+            elif r_mask:
+                out.append(r_mask)
         # The next node is the first untaken branch of the deepest frame.
-        # Its P and X are taken before the frame moves v from P to X.  A
-        # node without candidates is visited right here: it is a maximal
-        # clique when X is empty too, and a dead end otherwise.
+        # Its P and X are taken before the frame moves v from P to X.
         while stack:
             frame = stack[-1]
             ext = frame[4]
-            if not ext:
-                stack.pop()
-                continue
-            low = ext & -ext
-            v = low.bit_length() - 1
-            r_mask, p_mask, x_mask, r_weight, _ = frame
-            frame[1] = p_mask & ~low
-            frame[2] = x_mask | low
-            frame[4] = ext ^ low
-            r_mask |= low
-            p_mask &= adj[v]
-            x_mask &= adj[v]
-            r_weight += weights[v]
-            if p_mask:
+            if ext:
                 break
-            calls += 1
-            if calls > max_calls:
-                truncated = True
-                break
-            if r_weight >= minw:
-                if not x_mask:
-                    out.append(r_mask)
-                elif rule == "rnd":
-                    # The pivot of a dead end still draws from the stream.
-                    choose_pivot(rule, g, 0, x_mask, rng)
+            stack.pop()
         else:
             break  # the stack is empty: the search is done
-        if truncated:
-            break
+        low = ext & -ext
+        v = low.bit_length() - 1
+        r_mask, p_mask, x_mask, r_weight, _ = frame
+        frame[1] = p_mask & ~low
+        frame[2] = x_mask | low
+        frame[4] = ext ^ low
+        r_mask |= low
+        p_mask &= adj[v]
+        x_mask &= adj[v]
+        r_weight += weights[v]
 
     nodes = g.nodes
     cliques = []
@@ -231,4 +223,4 @@ def find_cliques(g: WeightedSubgraph, params: BkParams) -> BkResult:
             members.append(nodes[low.bit_length() - 1])
             mask ^= low
         cliques.append(frozenset(members))
-    return BkResult(cliques, not truncated, calls)
+    return BkResult(cliques, calls <= max_calls, calls)

@@ -38,13 +38,6 @@ from .model import (
 
 
 @dataclass
-class DetectStats:
-    """Coefficient-comparison counter for complexity checks."""
-
-    comparisons: int = 0
-
-
-@dataclass
 class RowCliques:
     """Cliques of one knapsack row in compressed form.
 
@@ -57,24 +50,19 @@ class RowCliques:
     addtl: list[tuple[int, int]]
 
 
-def detect_cliques_compressed(row: KnapsackRow,
-                              stats: DetectStats | None = None) -> RowCliques:
+def detect_cliques_compressed(row: KnapsackRow) -> RowCliques:
     items = sorted(row.literals, key=lambda t: (t[1], t[0]))
     lits = [t[0] for t in items]
     a = [t[1] for t in items]
     b = row.rhs
     m = len(a)
-    comparisons = 1
     if m < 2 or not a[m - 2] + a[m - 1] > b + EPS:
-        if stats is not None:
-            stats.comparisons += comparisons
         return RowCliques([], [])
 
     # Smallest k with a[k] + a[k+1] > b; the predicate is monotone.
     lo, hi = 0, m - 2
     while lo < hi:
         mid = (lo + hi) // 2
-        comparisons += 1
         if a[mid] + a[mid + 1] > b + EPS:
             hi = mid
         else:
@@ -84,13 +72,11 @@ def detect_cliques_compressed(row: KnapsackRow,
 
     addtl: list[tuple[int, int]] = []
     for o in range(k - 1, -1, -1):
-        comparisons += 1
         if not a[o] + a[m - 1] > b + EPS:
             break  # coefficients only shrink from here on
         lo2, hi2 = o + 1, m - 1
         while lo2 < hi2:
             mid = (lo2 + hi2) // 2
-            comparisons += 1
             if a[o] + a[mid] > b + EPS:
                 hi2 = mid
             else:
@@ -98,8 +84,6 @@ def detect_cliques_compressed(row: KnapsackRow,
         f = lo2
         assert f > k  # the suffix is always inside the initial clique
         addtl.append((lits[o], f - k + 1))
-    if stats is not None:
-        stats.comparisons += comparisons
     return RowCliques(initial, addtl)
 
 
@@ -133,10 +117,6 @@ class CliqueStore:
     adjfirst: list[list[int]] = field(default_factory=list)
     adjaddtl: list[list[int]] = field(default_factory=list)
 
-    def tuple_members(self, t: int) -> list[int]:
-        lit, c, l = self.addtl[t]
-        return [lit, *self.first[c][l - 1:]]
-
 
 @dataclass
 class ConflictGraph:
@@ -146,7 +126,6 @@ class ConflictGraph:
     n_vars: int
     store: CliqueStore
     adjlist: list[list[int]]
-    min_clq_size: int
     cliques_detected: int = 0
     _nbrs: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False, compare=False)
 
@@ -286,8 +265,8 @@ def build(instance: MilpInstance, min_clq_size: int = 512) -> ConflictGraph:
     pair_sets: list[set[int]] = [set() for _ in range(n_nodes)]
     detected = 0
 
-    for ri, row in enumerate(instance.rows):
-        for krow in normalize_to_knapsack(row, instance, ri):
+    for row in instance.rows:
+        for krow in normalize_to_knapsack(row, instance):
             rc = detect_cliques_compressed(krow)
             if not rc.initial:
                 continue
@@ -331,4 +310,4 @@ def build(instance: MilpInstance, min_clq_size: int = 512) -> ConflictGraph:
             store.adjaddtl[v].append(t)
 
     adjlist = [sorted(s) for s in pair_sets]
-    return ConflictGraph(n, store, adjlist, min_clq_size, detected)
+    return ConflictGraph(n, store, adjlist, detected)

@@ -135,11 +135,9 @@ class KnapsackRow:
 
     literals: list[tuple[int, float]]
     rhs: float
-    origin_row: int
 
 
-def normalize_to_knapsack(row: Row, instance: MilpInstance,
-                          row_index: int | None = None) -> list[KnapsackRow]:
+def normalize_to_knapsack(row: Row, instance: MilpInstance) -> list[KnapsackRow]:
     """Rewrite a row over binary variables into knapsack form.
 
     A >= row is negated first; an equality yields both directions.  Each
@@ -149,8 +147,6 @@ def normalize_to_knapsack(row: Row, instance: MilpInstance,
     """
     if any(not instance.is_binary(j) for j, _ in row.coeffs):
         return []
-    if row_index is None:
-        row_index = instance.rows.index(row)
     n = instance.n_vars
     if row.sense == SENSE_LE:
         directions = [(row.coeffs, row.rhs)]
@@ -171,7 +167,7 @@ def normalize_to_knapsack(row: Row, instance: MilpInstance,
             else:
                 lits.append((j + n, -a))
                 b += -a
-        out.append(KnapsackRow(lits, b, row_index))
+        out.append(KnapsackRow(lits, b))
     return out
 
 
@@ -271,9 +267,12 @@ def parse_mps(source: str | TextIO) -> MilpInstance:
 
     def number(tok: str, lineno: int) -> float:
         try:
-            return float(tok)
+            value = float(tok)
         except ValueError:
             raise fail(lineno, f"bad numeric value {tok!r}") from None
+        if math.isnan(value):
+            raise fail(lineno, f"NaN value {tok!r}")
+        return value
 
     def declare_col(cname: str) -> int:
         if cname in col_index:

@@ -79,7 +79,7 @@ def strengthen(instance: MilpInstance, g: ConflictGraph,
     for ri, row in enumerate(instance.rows):
         if row.sense == SENSE_EQ or len(row.coeffs) > alpha_max:
             continue
-        krows = normalize_to_knapsack(row, instance, ri)
+        krows = normalize_to_knapsack(row, instance)
         if len(krows) != 1:
             continue
         clique = _set_packing_clique(krows[0])

@@ -33,11 +33,11 @@ class CliqueCut:
 
 @dataclass
 class FractionalSubgraph(WeightedSubgraph):
-    """The fractional subgraph plus, per local index, the literal's
-    non-fractional neighbors: the only literals that can extend a maximal
-    clique of the subgraph over the full graph."""
+    """The fractional subgraph plus, per literal, its non-fractional
+    neighbors: the only literals that can extend a maximal clique of the
+    subgraph over the full graph."""
 
-    lift: list[frozenset[int]]
+    lift: dict[int, frozenset[int]]
 
 
 def fractional_subgraph(g: ConflictGraph, point: FractionalPoint,
@@ -85,11 +85,9 @@ def fractional_subgraph(g: ConflictGraph, point: FractionalPoint,
             if i is not None:
                 row |= bits[i]
         adj.append(row)
-    full = (1 << len(kept)) - 1
-    cadj = [full ^ row ^ bit for row, bit in zip(adj, bits)]
     nodes = [a for a, _, _ in kept]
-    return FractionalSubgraph(nodes, [value[a] for a in nodes], adj, cadj,
-                              [frozenset(other) for _, _, other in kept])
+    return FractionalSubgraph(nodes, [value[a] for a in nodes], adj,
+                              {a: frozenset(other) for a, _, other in kept})
 
 
 def candidate_order_key(point: FractionalPoint, n_vars: int):
@@ -127,22 +125,21 @@ def separate_cliques(g: ConflictGraph, point: FractionalPoint,
     maximality.  So a cut's fractional members are exactly its clique, and
     distinct cliques give distinct cuts.
     """
-    min_weight = 1.0 + min_viol
-    sub = fractional_subgraph(g, point, min_weight)
+    # BkParams checks min_weight, so a bad min_viol fails before the build.
+    params = replace(bk_params or BkParams(), min_weight=1.0 + min_viol)
+    sub = fractional_subgraph(g, point, params.min_weight)
     if not sub.nodes:
         return []
-    params = replace(bk_params or BkParams(), min_weight=min_weight)
     result = find_cliques(sub, params)
     if not result.exact:
         log.warning("Bron-Kerbosch stopped at its budget: %d calls counted, "
                     "max_calls %d; violated cliques may be missing",
                     result.calls, params.max_calls)
-    lift = dict(zip(sub.nodes, sub.lift))
     values = [point.var_value(j) for j in range(g.n_vars)]
     values += [1.0 - v for v in values]
     cuts = []
     for clique in result.cliques:
-        lists = sorted((lift[v] for v in clique), key=len)
+        lists = sorted((sub.lift[v] for v in clique), key=len)
         ext = extend_cut(g, clique, point, lists[0].intersection(*lists[1:]))
         cuts.append(CliqueCut(ext, sum(values[v] for v in ext) - 1.0, ext - clique))
     cuts.sort(key=lambda c: (-c.violation, tuple(sorted(c.members))))

@@ -218,6 +218,6 @@ def graph_adjacency(g) -> dict[int, set[int]]:
 
 def all_knapsack_rows(instance: MilpInstance) -> list[KnapsackRow]:
     out = []
-    for ri, row in enumerate(instance.rows):
-        out.extend(normalize_to_knapsack(row, instance, ri))
+    for row in instance.rows:
+        out.extend(normalize_to_knapsack(row, instance))
     return out

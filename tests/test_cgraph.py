@@ -25,7 +25,7 @@ def _lit(j, n, neg=False):
 def test_detect_cliques_knapsack_example():
     inst = gen.knapsack_example_instance()
     n = inst.n_vars
-    [k1] = normalize_to_knapsack(inst.rows[0], inst, 0)
+    [k1] = normalize_to_knapsack(inst.rows[0], inst)
     cliques = {frozenset(c) for c in detect_cliques(k1)}
     x = lambda j: _lit(j - 1, n)
     nx = lambda j: _lit(j - 1, n, True)
@@ -35,21 +35,21 @@ def test_detect_cliques_knapsack_example():
         frozenset({nx(1), x(6)}),
     }
     # covering row rewrites to !x1+!x2+!x3 <= 2: no pair overloads it
-    [k2] = normalize_to_knapsack(inst.rows[1], inst, 1)
+    [k2] = normalize_to_knapsack(inst.rows[1], inst)
     assert detect_cliques(k2) == []
 
 
 def test_detect_cliques_set_packing_row():
     inst = gen.triangle_instance()
-    [k] = normalize_to_knapsack(inst.rows[0], inst, 0)
+    [k] = normalize_to_knapsack(inst.rows[0], inst)
     assert detect_cliques(k) == [frozenset({0, 1, 2})]
 
 
 def test_detect_cliques_empty_row():
     from cgcuts import KnapsackRow
 
-    assert detect_cliques(KnapsackRow([], 1.0, 0)) == []
-    assert detect_cliques(KnapsackRow([(0, 1.0)], 1.0, 0)) == []
+    assert detect_cliques(KnapsackRow([], 1.0)) == []
+    assert detect_cliques(KnapsackRow([(0, 1.0)], 1.0)) == []
 
 
 def test_detect_per_row_completeness_random():
@@ -90,11 +90,14 @@ def test_build_tuple_store_golden():
         (x(1), 2, 4),
     ]
     # expanding the tuples reproduces the detected cliques
-    assert g.store.tuple_members(0) == [x(2), x(5), x(6)]
-    assert g.store.tuple_members(1) == [x(1), x(6)]
-    assert g.store.tuple_members(2) == [x(3), x(6), x(8), x(9), x(10)]
-    assert g.store.tuple_members(3) == [x(2), x(6), x(8), x(9), x(10)]
-    assert g.store.tuple_members(4) == [x(1), x(9), x(10)]
+    members = [[lit, *g.store.first[c][l - 1:]] for lit, c, l in g.store.addtl]
+    assert members == [
+        [x(2), x(5), x(6)],
+        [x(1), x(6)],
+        [x(3), x(6), x(8), x(9), x(10)],
+        [x(2), x(6), x(8), x(9), x(10)],
+        [x(1), x(9), x(10)],
+    ]
 
 
 def test_build_no_binary_rows():

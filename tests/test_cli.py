@@ -75,7 +75,8 @@ def test_strengthen_noop_is_identity(ex_model, tmp_path, capsys):
     out_path = tmp_path / "same.mps"
     assert main(["strengthen", ex_model, "--out", str(out_path)]) == 0
     capsys.readouterr()
-    original = parse_mps(open(ex_model).read())
+    with open(ex_model) as f:
+        original = parse_mps(f.read())
     assert out_path.read_text() == write_mps(original)
 
 
@@ -162,6 +163,31 @@ def test_nan_in_point_exits_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: line 2: NaN for variable 'x2'\n"
+
+
+def test_nan_in_model_exits_2(tmp_path, capsys):
+    # x1 + x2 <= nan once gave 0 edges and exit 0 in stats, and a wrong
+    # "input is not a clique" diagnosis in strengthen.
+    mpath = tmp_path / "nan.mps"
+    text = write_mps(gen.triangle_instance())
+    mpath.write_text(text.replace("    RHS        t          1.0",
+                                  "    RHS        t          nan"))
+    for command in ("stats", "strengthen"):
+        assert main([command, str(mpath)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 12: NaN value 'nan'\n"
+
+
+@pytest.mark.parametrize("min_viol", ["nan", "inf"])
+def test_non_finite_min_viol_exits_2(triangle, capsys, min_viol):
+    # Exit 1 means "no cuts"; a bad threshold once read that way.
+    mpath, ppath = triangle
+    assert main(["separate", "clique", mpath, ppath, "--min-viol", min_viol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: min_weight must be finite")
 
 
 def test_usage_error_missing_point(triangle):

@@ -77,6 +77,32 @@ def test_parse_ranges_rejected():
         parse_mps("NAME X\nROWS\n N OBJ\nRANGES\nENDATA\n")
 
 
+def _assert_nan_rejected(old, new, lineno):
+    bad = MINIMAL_MPS.replace(old, new)
+    assert bad != MINIMAL_MPS
+    with pytest.raises(ParseError, match=f"^line {lineno}: NaN value 'nan'$"):
+        parse_mps(bad)
+
+
+def test_parse_rejects_nan_in_columns():
+    _assert_nan_rejected("    x2 c1 1.0", "    x2 c1 nan", 8)
+
+
+def test_parse_rejects_nan_in_rhs():
+    # x1 + x2 <= nan once parsed, and read as a set-packing row.
+    _assert_nan_rejected("    RHS c1 1.0", "    RHS c1 nan", 11)
+
+
+def test_parse_rejects_nan_in_bounds():
+    # UP nan once turned binary x2 into a general integer.
+    _assert_nan_rejected(" BV BND x2", " UP BND x2 nan", 14)
+
+
+def test_parse_accepts_infinite_rhs():
+    inst = parse_mps(MINIMAL_MPS.replace("    RHS c1 1.0", "    RHS c1 -inf"))
+    assert inst.rows[0].rhs == -math.inf
+
+
 def test_roundtrip_random_instances():
     rng = random.Random(7)
     for _ in range(40):
@@ -103,7 +129,7 @@ def test_roundtrip_mixed_variable_kinds():
 def test_normalize_mixed_sign_row():
     inst = gen.knapsack_example_instance()
     n = inst.n_vars
-    [k] = normalize_to_knapsack(inst.rows[0], inst, 0)
+    [k] = normalize_to_knapsack(inst.rows[0], inst)
     assert k.rhs == 10.0
     assert k.literals == [(0 + n, 3.0), (1, 4.0), (2 + n, 5.0), (3, 6.0), (4, 7.0), (5, 8.0)]
 
@@ -111,21 +137,21 @@ def test_normalize_mixed_sign_row():
 def test_normalize_ge_row():
     inst = gen.knapsack_example_instance()
     n = inst.n_vars
-    [k] = normalize_to_knapsack(inst.rows[1], inst, 1)
+    [k] = normalize_to_knapsack(inst.rows[1], inst)
     assert k.rhs == 2.0
     assert k.literals == [(0 + n, 1.0), (1 + n, 1.0), (2 + n, 1.0)]
 
 
 def test_normalize_identity():
     inst = gen.triangle_instance()
-    [k] = normalize_to_knapsack(inst.rows[0], inst, 0)
+    [k] = normalize_to_knapsack(inst.rows[0], inst)
     assert k.literals == [(0, 1.0), (1, 1.0), (2, 1.0)]
     assert k.rhs == 1.0
 
 
 def test_normalize_equality_gives_two_rows():
     inst = MilpInstance(gen.binary_vars(2), [Row("e", [(0, 1.0), (1, 1.0)], "=", 1.0)])
-    ks = normalize_to_knapsack(inst.rows[0], inst, 0)
+    ks = normalize_to_knapsack(inst.rows[0], inst)
     assert len(ks) == 2
     assert ks[0].literals == [(0, 1.0), (1, 1.0)] and ks[0].rhs == 1.0
     assert ks[1].literals == [(2, 1.0), (3, 1.0)] and ks[1].rhs == 1.0
@@ -134,7 +160,7 @@ def test_normalize_equality_gives_two_rows():
 def test_normalize_skips_non_binary():
     variables = [Variable("x", 0.0, 1.0, True), Variable("y", 0.0, 5.0, True)]
     inst = MilpInstance(variables, [Row("r", [(0, 1.0), (1, 1.0)], "<=", 3.0)])
-    assert normalize_to_knapsack(inst.rows[0], inst, 0) == []
+    assert normalize_to_knapsack(inst.rows[0], inst) == []
 
 
 def _eval_row(row, point):
@@ -161,7 +187,7 @@ def test_normalization_soundness_exhaustive():
         n = rng.randint(2, 8)
         inst = gen.random_binary_instance(rng, n_vars=n, n_rows=1, guard_fixings=False)
         row = inst.rows[0]
-        ks = normalize_to_knapsack(row, inst, 0)
+        ks = normalize_to_knapsack(row, inst)
         for bits in range(1 << n):
             point = [(bits >> j) & 1 for j in range(n)]
             assert _eval_row(row, point) == all(_eval_knapsack(k, point, n) for k in ks)

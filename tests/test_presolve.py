@@ -154,10 +154,10 @@ def test_strengthen_dominance_soundness():
         # merged away a variable/complement pair
         ext_cliques = []
         for ri, _ in report.extended:
-            [k] = normalize_to_knapsack(inst.rows[ri], inst, ri)
+            [k] = normalize_to_knapsack(inst.rows[ri], inst)
             ext_cliques.append(extend_clique(g, {lit for lit, _ in k.literals}))
         for ri in report.removed_rows:
-            [k] = normalize_to_knapsack(inst.rows[ri], inst, ri)
+            [k] = normalize_to_knapsack(inst.rows[ri], inst)
             removed_lits = {lit for lit, _ in k.literals}
             assert any(removed_lits <= e for e in ext_cliques)
 
