@@ -9,6 +9,12 @@ frames, not by recursion, so clique size is not bounded by the
 interpreter's recursion limit.  Every search node is counted and visited
 at one place, and a node's branch set is P minus the pivot's adjacency
 row, so no complement rows are kept.
+
+A subgraph numbers its vertices by weight, heaviest first (ties by
+external id), the vertex order of Östergård's weighted cliquer.  So the
+``wgt`` pivot, the heaviest vertex of P | X, is its lowest set bit, and
+the weight bound, which sums P heaviest first, can stop as soon as the
+threshold is reached.
 """
 
 from __future__ import annotations
@@ -27,13 +33,20 @@ PIVOT_RULES = ("rnd", "deg", "wgt", "mdg", "mwt")
 class WeightedSubgraph:
     """A small vertex-weighted graph with bitmask adjacency.
 
-    ``nodes`` are the external ids (ascending); all masks are over local
-    indices.
+    ``nodes`` are the external ids, numbered by (weight descending, id):
+    local index 0 is the heaviest vertex.  All masks are over local
+    indices.  Weights must be non-negative, for the weight bound.
     """
 
     nodes: list[int]
     weights: list[float]
     adj: list[int]
+
+    def __post_init__(self):
+        w = self.weights
+        if w != sorted(w, reverse=True) or (w and w[-1] < 0):
+            raise ValueError("subgraph weights must be non-negative and must "
+                             "not increase with the local index")
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -41,7 +54,8 @@ class WeightedSubgraph:
     @classmethod
     def from_edges(cls, weights: dict[int, float],
                    edges: "list[tuple[int, int]] | set"):
-        nodes = sorted(weights)
+        # A reverse sort is stable, so equal weights keep ascending ids.
+        nodes = sorted(sorted(weights), key=weights.__getitem__, reverse=True)
         index = {v: i for i, v in enumerate(nodes)}
         n = len(nodes)
         adj = [0] * n
@@ -135,6 +149,14 @@ def find_cliques(g: WeightedSubgraph, params: BkParams) -> BkResult:
     was exact iff ``calls <= max_calls``.  Cliques already emitted are
     always maximal and heavy enough, budget or not.  A subtree is skipped
     when the weight of R plus the weight of P cannot reach the threshold.
+
+    P's weight is summed heaviest first (lowest bit first) and the sum
+    stops once R plus the part summed reaches the threshold: with
+    non-negative weights the partial sums only grow, so every node is
+    pruned or kept as by the full sum.  Branches are taken lowest bit
+    first, so the order of the search, and with it ``calls`` and the
+    cliques found under a binding budget, follows the subgraph's
+    numbering.
     """
     n = len(g)
     minw = params.min_weight - WEIGHT_EPS
@@ -142,12 +164,12 @@ def find_cliques(g: WeightedSubgraph, params: BkParams) -> BkResult:
     rule = params.pivot_rule
     rng = random.Random(params.rng_seed)
     adj, weights = g.adj, g.weights
-    # deg, wgt and mwt score a vertex by the whole subgraph, so their
-    # scores are fixed for the search; rnd and mdg go through choose_pivot.
+    # Pivots: wgt is the lowest set bit of P | X, as the subgraph is
+    # numbered heaviest first; deg and mwt score a vertex by the whole
+    # subgraph, so their scores are fixed for the search; mdg is scored
+    # inline; rnd draws through choose_pivot.
     if rule == "deg":
         scores = [float(a.bit_count()) for a in adj]
-    elif rule == "wgt":
-        scores = weights
     elif rule == "mwt":
         scores = [w + _mask_weight(a, weights) for w, a in zip(weights, adj)]
     else:
@@ -168,21 +190,33 @@ def find_cliques(g: WeightedSubgraph, params: BkParams) -> BkResult:
             while m:
                 low = m & -m
                 p_weight += weights[low.bit_length() - 1]
+                if r_weight + p_weight >= minw:
+                    break
                 m ^= low
-            if r_weight + p_weight >= minw:
-                if scores is None:
-                    u = choose_pivot(rule, g, p_mask, x_mask, rng)
-                else:
-                    # Highest score in P | X; ties go to the smallest index.
-                    u = -1
-                    best = 0.0
-                    m = p_mask | x_mask
+            if m:
+                # Highest score in P | X; ties go to the smallest index.
+                m = p_mask | x_mask
+                if rule == "wgt":
+                    u = (m & -m).bit_length() - 1
+                elif scores is not None:
+                    best = -1.0
                     while m:
                         low = m & -m
                         v = low.bit_length() - 1
-                        if u < 0 or scores[v] > best:
+                        if scores[v] > best:
                             u, best = v, scores[v]
                         m ^= low
+                elif rule == "mdg":
+                    best = -1
+                    while m:
+                        low = m & -m
+                        v = low.bit_length() - 1
+                        score = (adj[v] & p_mask).bit_count()
+                        if score > best:
+                            u, best = v, score
+                        m ^= low
+                else:
+                    u = choose_pivot(rule, g, p_mask, x_mask, rng)
                 # P minus N(u): the pivot itself stays when it sits in P.
                 stack.append([r_mask, p_mask, x_mask, r_weight, p_mask & ~adj[u]])
         elif r_weight >= minw:

@@ -49,7 +49,8 @@ def fractional_subgraph(g: ConflictGraph, point: FractionalPoint,
     variable together with its complement.  A literal whose value plus its
     fractional neighbors' values is below ``min_weight`` is left out: no
     clique of that weight can hold it, and leaving it out keeps every
-    maximal clique that reaches ``min_weight``.
+    maximal clique that reaches ``min_weight``.  Local indices run by
+    (value descending, literal id), as ``WeightedSubgraph`` requires.
     """
     n = g.n_vars
     value: dict[int, float] = {}
@@ -62,7 +63,8 @@ def fractional_subgraph(g: ConflictGraph, point: FractionalPoint,
     bound = min_weight - 2 * WEIGHT_EPS
     kept: list[tuple[int, list[int], list[int]]] = []
     get = value.get
-    for a in sorted(value):
+    # A reverse sort is stable, so equal values keep ascending ids.
+    for a in sorted(sorted(value), key=value.__getitem__, reverse=True):
         frac: list[int] = []
         other: list[int] = []
         total = value[a]
@@ -105,8 +107,11 @@ def extend_cut(g: ConflictGraph, clique, point: FractionalPoint,
     Literals conflicting with every member are consumed in reduced-cost
     order; each joins only if it conflicts with everything accepted so far.
     ``common``, when given, is the members' common neighborhood (or the
-    part of it that can join).
+    part of it that can join); when it is empty, the clique is returned as
+    it is.
     """
+    if common is not None and not common:
+        return frozenset(clique)
     return greedy_extend(g, clique, candidate_order_key(point, g.n_vars), common)
 
 
@@ -123,7 +128,10 @@ def separate_cliques(g: ConflictGraph, point: FractionalPoint,
     Each clique is extended only by non-fractional literals: a fractional
     literal conflicting with a whole maximal clique would contradict its
     maximality.  So a cut's fractional members are exactly its clique, and
-    distinct cliques give distinct cuts.
+    distinct cliques give distinct cuts.  A cut of a literal and its
+    complement alone reads ``0 <= 0`` and is dropped; that clique weighs
+    exactly 1, so it reaches the threshold only when ``min_viol`` is at
+    most BK's slack.
     """
     # BkParams checks min_weight, so a bad min_viol fails before the build.
     params = replace(bk_params or BkParams(), min_weight=1.0 + min_viol)
@@ -141,6 +149,8 @@ def separate_cliques(g: ConflictGraph, point: FractionalPoint,
     for clique in result.cliques:
         lists = sorted((sub.lift[v] for v in clique), key=len)
         ext = extend_cut(g, clique, point, lists[0].intersection(*lists[1:]))
+        if len(ext) == 2 and max(ext) - min(ext) == g.n_vars:
+            continue
         cuts.append(CliqueCut(ext, sum(values[v] for v in ext) - 1.0, ext - clique))
     cuts.sort(key=lambda c: (-c.violation, tuple(sorted(c.members))))
     return cuts

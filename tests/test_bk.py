@@ -198,8 +198,44 @@ def test_choose_pivot_star():
     edges = [(0, 1), (0, 2), (0, 3)]
     g = WeightedSubgraph.from_edges(weights, edges)
     full = 0b1111
-    assert choose_pivot("deg", g, full, 0) == 0
-    assert choose_pivot("wgt", g, full, 0) == 2
+    assert g.nodes[choose_pivot("deg", g, full, 0)] == 0
+    assert g.nodes[choose_pivot("wgt", g, full, 0)] == 2
+
+
+def test_subgraph_numbered_by_weight():
+    weights = {7: 0.5, 2: 0.9, 9: 0.1, 5: 0.9, 4: 0.5}
+    g = WeightedSubgraph.from_edges(weights, [(7, 2), (9, 5)])
+    assert g.nodes == [2, 5, 4, 7, 9]
+    assert g.weights == [0.9, 0.9, 0.5, 0.5, 0.1]
+    with pytest.raises(ValueError, match="must not increase"):
+        WeightedSubgraph([0, 1], [0.2, 0.5], [0, 0])
+    with pytest.raises(ValueError, match="non-negative"):
+        WeightedSubgraph([0, 1], [0.5, -0.1], [0, 0])
+
+
+def test_wgt_pivot_ties_go_to_smallest_id():
+    # On tied weights the heaviest vertex with the smallest id is the
+    # lowest set bit of any candidate set, which find_cliques takes as
+    # its wgt pivot without a scan.
+    weights = {7: 0.5, 2: 0.9, 9: 0.5, 5: 0.9, 4: 0.5, 3: 0.9}
+    g = WeightedSubgraph.from_edges(weights, [])
+    for cand in range(1, 1 << len(g)):
+        u = choose_pivot("wgt", g, cand, 0)
+        assert u == (cand & -cand).bit_length() - 1
+        members = [g.nodes[i] for i in range(len(g)) if cand >> i & 1]
+        heaviest = max(weights[v] for v in members)
+        assert g.nodes[u] == min(v for v in members if weights[v] == heaviest)
+    # Graphs with many ties and shuffled ids still search like the reference.
+    rng = random.Random(38)
+    for _ in range(30):
+        n = rng.randint(2, 12)
+        adj, _ = gen.random_weighted_graph(rng, n, rng.uniform(0.2, 0.8))
+        ids = rng.sample(range(100), n)
+        adj = {ids[v]: {ids[u] for u in adj[v]} for v in adj}
+        g = _subgraph(adj, {v: rng.choice((0.25, 0.5)) for v in adj})
+        for rule in PIVOT_RULES:
+            _assert_same_as_reference(g, BkParams(min_weight=1.0, max_calls=10**9,
+                                                  pivot_rule=rule))
 
 
 def test_choose_pivot_mwt_path():

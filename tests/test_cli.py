@@ -95,6 +95,17 @@ def test_separate_integral_point_exit_one(triangle, tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_separate_min_viol_zero_prints_no_tautology(triangle, tmp_path, capsys):
+    # x_j with its complement weighs exactly 1: its cut reads 0 <= 0.
+    mpath, ppath = triangle
+    low = tmp_path / "low.pnt"
+    low.write_text("x1 0.3\nx2 0.3\nx3 0.3\n")
+    assert main(["separate", "clique", mpath, str(low), "--min-viol", "0"]) == 1
+    assert capsys.readouterr().out == ""
+    assert main(["separate", "clique", mpath, ppath, "--min-viol", "0"]) == 0
+    assert capsys.readouterr().out == "clique_0: x1 + x2 + x3 <= 1  # violation=0.500000\n"
+
+
 def test_separate_oddcycle_wheel_golden(wheel, capsys):
     mpath, ppath = wheel
     assert main(["separate", "oddcycle", mpath, ppath]) == 0

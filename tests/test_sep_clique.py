@@ -60,7 +60,7 @@ def test_fractional_subgraph_includes_complements():
     g = build(gen.triangle_instance())
     point = FractionalPoint({0: 0.3, 1: 0.5, 2: 1.0})
     sub = fractional_subgraph(g, point)
-    assert sub.nodes == [0, 1, 3, 4]
+    assert sub.nodes == [3, 1, 4, 0]  # by value descending, then id
     weights = dict(zip(sub.nodes, sub.weights))
     assert weights[3] == 0.7 and weights[4] == 0.5
 
@@ -203,10 +203,16 @@ def _reference_fractional_subgraph(g, point):
     return WeightedSubgraph.from_edges(weights, edges)
 
 
+def _complement_pair(members, n_vars):
+    """True for exactly one literal and its complement."""
+    return len(members) == 2 and max(members) - min(members) == n_vars
+
+
 def _reference_separate_cliques(g, point, min_viol, bk_params):
     """The separator before subgraph filtering and candidate lists: every
     clique extends over its whole common neighborhood, and the first of
-    two cliques with the same extension wins."""
+    two cliques with the same extension wins.  A cut of a literal and its
+    complement alone (``0 <= 0``) is dropped."""
     sub = _reference_fractional_subgraph(g, point)
     if not sub.nodes:
         return []
@@ -216,6 +222,8 @@ def _reference_separate_cliques(g, point, min_viol, bk_params):
     for clique in find_cliques(sub, params).cliques:
         ext = extend_cut(g, clique, point)
         key = tuple(sorted(ext))
+        if _complement_pair(ext, n):
+            continue
         if key not in cuts:
             violation = sum(point.lit_value(v, n) for v in ext) - 1.0
             cuts[key] = CliqueCut(ext, violation, ext - clique)
@@ -292,6 +300,9 @@ def test_cut_fractional_members_are_its_clique():
         cliques = set(find_cliques(sub, BkParams(min_weight=1.0 + min_viol,
                                                  max_calls=10**9)).cliques)
         cuts = separate_cliques(g, point, min_viol, BkParams(max_calls=10**9))
+        # A complement pair gives a cut only when it lifts.
+        cliques -= {c for c in cliques
+                    if _complement_pair(c, g.n_vars) and extend_cut(g, c, point) == c}
         assert len(cuts) == len(cliques)
         assert {c.members & frac for c in cuts} == cliques
         for c in cuts:
