@@ -29,13 +29,20 @@ WEIGHT_EPS = 1e-9
 PIVOT_RULES = ("rnd", "deg", "wgt", "mdg", "mwt")
 
 
+def weight_order(weights: dict[int, float]) -> list[int]:
+    """Ids by (weight descending, id): the numbering ``WeightedSubgraph``
+    requires."""
+    # A reverse sort is stable, so equal weights keep ascending ids.
+    return sorted(sorted(weights), key=weights.__getitem__, reverse=True)
+
+
 @dataclass
 class WeightedSubgraph:
     """A small vertex-weighted graph with bitmask adjacency.
 
-    ``nodes`` are the external ids, numbered by (weight descending, id):
-    local index 0 is the heaviest vertex.  All masks are over local
-    indices.  Weights must be non-negative, for the weight bound.
+    ``nodes`` are the external ids in ``weight_order``: local index 0 is
+    the heaviest vertex.  All masks are over local indices.  Weights must
+    be non-negative, for the weight bound.
     """
 
     nodes: list[int]
@@ -54,8 +61,7 @@ class WeightedSubgraph:
     @classmethod
     def from_edges(cls, weights: dict[int, float],
                    edges: "list[tuple[int, int]] | set"):
-        # A reverse sort is stable, so equal weights keep ascending ids.
-        nodes = sorted(sorted(weights), key=weights.__getitem__, reverse=True)
+        nodes = weight_order(weights)
         index = {v: i for i, v in enumerate(nodes)}
         n = len(nodes)
         adj = [0] * n

@@ -2,10 +2,11 @@
 
 Cliques are extracted per knapsack row in O(n log n): after sorting by
 coefficient, the largest suffix whose smallest two members overload the
-rhs forms the initial clique, and each literal below it is paired (by
-binary search) with the shortest suffix it still conflicts with.  Those
-extra cliques are kept as (literal, row, start) tuples rather than being
-expanded, which is what keeps the loop out of quadratic territory.
+rhs forms the initial clique, and each literal below it is paired with
+the shortest suffix it still conflicts with.  ``bisect`` finds each
+boundary, keyed by the pair-sum test.  Those extra cliques are kept as
+(literal, row, start) tuples rather than being expanded, which is what
+keeps the loop out of quadratic territory.
 
 After construction, every stored clique whose size is at most
 ``min_clq_size`` is dissolved into plain pairwise adjacency entries; the
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .model import (
@@ -51,37 +53,27 @@ class RowCliques:
 
 
 def detect_cliques_compressed(row: KnapsackRow) -> RowCliques:
-    items = sorted(row.literals, key=lambda t: (t[1], t[0]))
+    items = sorted(row.literals, key=itemgetter(1, 0))  # (coefficient, literal)
     lits = [t[0] for t in items]
     a = [t[1] for t in items]
-    b = row.rhs
+    bound = row.rhs + EPS
     m = len(a)
-    if m < 2 or not a[m - 2] + a[m - 1] > b + EPS:
+    if m < 2 or not a[m - 2] + a[m - 1] > bound:
         return RowCliques([], [])
 
-    # Smallest k with a[k] + a[k+1] > b; the predicate is monotone.
-    lo, hi = 0, m - 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if a[mid] + a[mid + 1] > b + EPS:
-            hi = mid
-        else:
-            lo = mid + 1
-    k = lo
+    # Smallest k with a[k] + a[k+1] > rhs; the predicate is monotone, and
+    # False sorts before True.
+    k = bisect.bisect_left(range(m), True, 0, m - 2,
+                           key=lambda i: a[i] + a[i + 1] > bound)
     initial = lits[k:]
 
     addtl: list[tuple[int, int]] = []
     for o in range(k - 1, -1, -1):
-        if not a[o] + a[m - 1] > b + EPS:
+        if not a[o] + a[m - 1] > bound:
             break  # coefficients only shrink from here on
-        lo2, hi2 = o + 1, m - 1
-        while lo2 < hi2:
-            mid = (lo2 + hi2) // 2
-            if a[o] + a[mid] > b + EPS:
-                hi2 = mid
-            else:
-                lo2 = mid + 1
-        f = lo2
+        # Smallest f > o with a[o] + a[f] > rhs.
+        f = bisect.bisect_left(range(m), True, o + 1, m - 1,
+                               key=lambda j: a[o] + a[j] > bound)
         assert f > k  # the suffix is always inside the initial clique
         addtl.append((lits[o], f - k + 1))
     return RowCliques(initial, addtl)
@@ -107,8 +99,10 @@ class CliqueStore:
     {literal} with positions l..len(first[c]) of ``first[c]`` (l is
     1-based).  ``adjfirst``/``adjaddtl`` index, per node, the stored
     cliques/tuples containing it.  ``first_stored[c]`` is False once a
-    first clique has been dissolved into pairwise entries; its row data
-    stays because tuples may still reference it.
+    first clique has been dissolved into pairwise entries.  No kept tuple
+    reads a dissolved first clique: detection gives every tuple l >= 2, so
+    a tuple has at most ``len(first[c])`` members, and it is kept only when
+    it is larger than ``min_clq_size``, which leaves ``first[c]`` stored.
     """
 
     first: list[list[int]] = field(default_factory=list)
@@ -188,7 +182,7 @@ class ConflictGraph:
                     s.update(suffix if within is None else within.intersection(suffix))
                 elif within is None or lit in within:
                     # A suffix member reaches the rest of the suffix through
-                    # first[c], stored or dissolved into pairs.
+                    # first[c], which is stored whenever the tuple is.
                     s.add(lit)
             s.discard(a)
             out[a] = s
@@ -276,16 +270,13 @@ def build(instance: MilpInstance, min_clq_size: int = 512) -> ConflictGraph:
             for lit, l in rc.addtl:
                 store.addtl.append((lit, c, l))
 
-    def add_pair(u: int, v: int) -> None:
-        pair_sets[u].add(v)
-        pair_sets[v].add(u)
-
     store.first_stored = [len(f) > min_clq_size for f in store.first]
     for c, f in enumerate(store.first):
         if not store.first_stored[c]:
             for i in range(len(f)):
                 for k in range(i + 1, len(f)):
-                    add_pair(f[i], f[k])
+                    pair_sets[f[i]].add(f[k])
+                    pair_sets[f[k]].add(f[i])
 
     kept: list[tuple[int, int, int]] = []
     for lit, c, l in store.addtl:
@@ -293,7 +284,8 @@ def build(instance: MilpInstance, min_clq_size: int = 512) -> ConflictGraph:
             # Suffix-internal pairs are covered by first[c] (stored or
             # dissolved above); only the outside literal needs new edges.
             for v in store.first[c][l - 1:]:
-                add_pair(lit, v)
+                pair_sets[lit].add(v)
+                pair_sets[v].add(lit)
         else:
             kept.append((lit, c, l))
     store.addtl = kept

@@ -198,13 +198,21 @@ class FractionalPoint:
         v = self.var_value(node_var(node, n_vars))
         return 1.0 - v if node >= n_vars else v
 
-    def lit_reduced_cost(self, node: int, n_vars: int, default: float = 0.0) -> float:
-        """Reduced cost of a literal; the sign flips under complementation."""
+    def literal_values(self, n_vars: int) -> list[float]:
+        """The 2 * n_vars literal values indexed by node id, each equal to
+        ``lit_value(node, n_vars)``."""
+        get = self.values.get
+        values = [get(j, 0.0) for j in range(n_vars)]
+        return values + [1.0 - v for v in values]
+
+    def lit_reduced_cost(self, node: int, n_vars: int) -> float:
+        """Reduced cost of a literal, 0 when unknown; the sign flips under
+        complementation."""
         if self.reduced_costs is None:
-            return default
+            return 0.0
         rc = self.reduced_costs.get(node_var(node, n_vars))
         if rc is None:
-            return default
+            return 0.0
         return -rc if node >= n_vars else rc
 
 
@@ -262,16 +270,13 @@ def parse_mps(source: str | TextIO) -> MilpInstance:
     integer_mode = False
     saw_endata = False
 
-    def fail(lineno: int, msg: str) -> ParseError:
-        return ParseError(lineno, msg)
-
     def number(tok: str, lineno: int) -> float:
         try:
             value = float(tok)
         except ValueError:
-            raise fail(lineno, f"bad numeric value {tok!r}") from None
+            raise ParseError(lineno, f"bad numeric value {tok!r}") from None
         if math.isnan(value):
-            raise fail(lineno, f"NaN value {tok!r}")
+            raise ParseError(lineno, f"NaN value {tok!r}")
         return value
 
     def declare_col(cname: str) -> int:
@@ -291,9 +296,9 @@ def parse_mps(source: str | TextIO) -> MilpInstance:
             tokens = raw.split()
             head = tokens[0].upper()
             if head not in _SECTIONS:
-                raise fail(lineno, f"unknown section header {tokens[0]!r}")
+                raise ParseError(lineno, f"unknown section header {tokens[0]!r}")
             if head in ("RANGES", "SOS", "OBJSENSE"):
-                raise fail(lineno, f"unsupported section {head}")
+                raise ParseError(lineno, f"unsupported section {head}")
             if head == "NAME":
                 name = tokens[1] if len(tokens) > 1 else ""
                 continue
@@ -306,10 +311,10 @@ def parse_mps(source: str | TextIO) -> MilpInstance:
         tokens = raw.split()
         if section == "ROWS":
             if len(tokens) != 2:
-                raise fail(lineno, "ROWS line must be '<sense> <name>'")
+                raise ParseError(lineno, "ROWS line must be '<sense> <name>'")
             sense, rname = tokens[0].upper(), tokens[1]
             if rname in row_sense or rname in free_rows:
-                raise fail(lineno, f"duplicate row name {rname!r}")
+                raise ParseError(lineno, f"duplicate row name {rname!r}")
             if sense == "N":
                 if objective_name is None:
                     objective_name = rname
@@ -319,7 +324,7 @@ def parse_mps(source: str | TextIO) -> MilpInstance:
                 row_sense[rname] = _MPS_SENSE[sense]
                 row_coeffs[rname] = []
             else:
-                raise fail(lineno, f"unknown row sense {tokens[0]!r}")
+                raise ParseError(lineno, f"unknown row sense {tokens[0]!r}")
         elif section == "COLUMNS":
             if "'MARKER'" in tokens:
                 if "'INTORG'" in tokens:
@@ -327,15 +332,16 @@ def parse_mps(source: str | TextIO) -> MilpInstance:
                 elif "'INTEND'" in tokens:
                     integer_mode = False
                 else:
-                    raise fail(lineno, "marker line without INTORG/INTEND")
+                    raise ParseError(lineno, "marker line without INTORG/INTEND")
                 continue
             if len(tokens) not in (3, 5):
-                raise fail(lineno, "COLUMNS line must be '<col> (<row> <value>)+'")
+                raise ParseError(lineno, "COLUMNS line must be '<col> (<row> <value>)+'")
             j = declare_col(tokens[0])
             for rname, vtok in zip(tokens[1::2], tokens[2::2]):
                 value = number(vtok, lineno)
                 if (tokens[0], rname) in seen_entries:
-                    raise fail(lineno, f"duplicate entry for column {tokens[0]!r} in row {rname!r}")
+                    raise ParseError(lineno, f"duplicate entry for column {tokens[0]!r} "
+                                             f"in row {rname!r}")
                 seen_entries.add((tokens[0], rname))
                 if rname in free_rows:
                     if rname == objective_name:
@@ -344,30 +350,30 @@ def parse_mps(source: str | TextIO) -> MilpInstance:
                     if value != 0.0:
                         row_coeffs[rname].append((j, value))
                 else:
-                    raise fail(lineno, f"unknown row {rname!r}")
+                    raise ParseError(lineno, f"unknown row {rname!r}")
         elif section == "RHS":
             if len(tokens) not in (3, 5):
-                raise fail(lineno, "RHS line must be '<set> (<row> <value>)+'")
+                raise ParseError(lineno, "RHS line must be '<set> (<row> <value>)+'")
             for rname, vtok in zip(tokens[1::2], tokens[2::2]):
                 value = number(vtok, lineno)
                 if rname in free_rows:
                     continue
                 if rname not in row_sense:
-                    raise fail(lineno, f"unknown row {rname!r}")
+                    raise ParseError(lineno, f"unknown row {rname!r}")
                 if rname in row_rhs:
-                    raise fail(lineno, f"duplicate rhs for row {rname!r}")
+                    raise ParseError(lineno, f"duplicate rhs for row {rname!r}")
                 row_rhs[rname] = value
         elif section == "BOUNDS":
             if len(tokens) < 3:
-                raise fail(lineno, "BOUNDS line must be '<type> <set> <col> [value]'")
+                raise ParseError(lineno, "BOUNDS line must be '<type> <set> <col> [value]'")
             btype = tokens[0].upper()
             cname = tokens[2]
             if cname not in col_index:
-                raise fail(lineno, f"unknown column {cname!r}")
+                raise ParseError(lineno, f"unknown column {cname!r}")
             j = col_index[cname]
             if btype in ("UP", "LO", "FX"):
                 if len(tokens) < 4:
-                    raise fail(lineno, f"bound type {btype} needs a value")
+                    raise ParseError(lineno, f"bound type {btype} needs a value")
                 value = number(tokens[3], lineno)
                 if btype == "UP":
                     col_bounds[j][1] = value
@@ -381,11 +387,11 @@ def parse_mps(source: str | TextIO) -> MilpInstance:
             elif btype == "MI":
                 col_bounds[j][0] = -math.inf
             else:
-                raise fail(lineno, f"unsupported bound type {tokens[0]!r}")
+                raise ParseError(lineno, f"unsupported bound type {tokens[0]!r}")
         elif section is None:
-            raise fail(lineno, "data line before any section header")
+            raise ParseError(lineno, "data line before any section header")
         else:
-            raise fail(lineno, f"data line in unhandled section {section}")
+            raise ParseError(lineno, f"data line in unhandled section {section}")
 
     if not saw_endata:
         raise ParseError(len(lines) + 1, "missing ENDATA")
@@ -469,7 +475,6 @@ def read_point(source: str | TextIO, instance: MilpInstance) -> FractionalPoint:
     text = source if isinstance(source, str) else source.read()
     values: dict[int, float] = {}
     rcs: dict[int, float] = {}
-    saw_rc = False
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -500,5 +505,4 @@ def read_point(source: str | TextIO, instance: MilpInstance) -> FractionalPoint:
         values[j] = min(1.0, max(0.0, value))
         if rc is not None:
             rcs[j] = rc
-            saw_rc = True
-    return FractionalPoint(values, rcs if saw_rc else None)
+    return FractionalPoint(values, rcs or None)

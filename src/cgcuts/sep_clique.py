@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 
-from .bk import WEIGHT_EPS, BkParams, WeightedSubgraph, find_cliques
+from .bk import WEIGHT_EPS, BkParams, WeightedSubgraph, find_cliques, weight_order
 from .cgraph import ConflictGraph, greedy_extend
 from .model import FractionalPoint, Row, literals_to_row
 
@@ -49,22 +49,21 @@ def fractional_subgraph(g: ConflictGraph, point: FractionalPoint,
     variable together with its complement.  A literal whose value plus its
     fractional neighbors' values is below ``min_weight`` is left out: no
     clique of that weight can hold it, and leaving it out keeps every
-    maximal clique that reaches ``min_weight``.  Local indices run by
-    (value descending, literal id), as ``WeightedSubgraph`` requires.
+    maximal clique that reaches ``min_weight``.  Local indices follow
+    ``bk.weight_order``.
     """
     n = g.n_vars
+    lit_values = point.literal_values(n)
     value: dict[int, float] = {}
     for j in range(n):
-        v = point.var_value(j)
-        if FRAC_EPS < v < 1.0 - FRAC_EPS:
-            value[j] = v
-            value[j + n] = 1.0 - v
+        if FRAC_EPS < lit_values[j] < 1.0 - FRAC_EPS:
+            value[j] = lit_values[j]
+            value[j + n] = lit_values[j + n]
     # BK's own slack, plus as much again for sums taken in another order.
     bound = min_weight - 2 * WEIGHT_EPS
     kept: list[tuple[int, list[int], list[int]]] = []
     get = value.get
-    # A reverse sort is stable, so equal values keep ascending ids.
-    for a in sorted(sorted(value), key=value.__getitem__, reverse=True):
+    for a in weight_order(value):
         frac: list[int] = []
         other: list[int] = []
         total = value[a]
@@ -131,9 +130,11 @@ def separate_cliques(g: ConflictGraph, point: FractionalPoint,
     distinct cliques give distinct cuts.  A cut of a literal and its
     complement alone reads ``0 <= 0`` and is dropped; that clique weighs
     exactly 1, so it reaches the threshold only when ``min_viol`` is at
-    most BK's slack.
+    most BK's slack.  A negative or NaN ``min_viol`` raises ``ValueError``.
     """
-    # BkParams checks min_weight, so a bad min_viol fails before the build.
+    if not min_viol >= 0:  # NaN fails this too
+        raise ValueError(f"min_viol must be >= 0, not {min_viol!r}")
+    # BkParams rejects an infinite min_weight, also before the build.
     params = replace(bk_params or BkParams(), min_weight=1.0 + min_viol)
     sub = fractional_subgraph(g, point, params.min_weight)
     if not sub.nodes:
@@ -143,12 +144,11 @@ def separate_cliques(g: ConflictGraph, point: FractionalPoint,
         log.warning("Bron-Kerbosch stopped at its budget: %d calls counted, "
                     "max_calls %d; violated cliques may be missing",
                     result.calls, params.max_calls)
-    values = [point.var_value(j) for j in range(g.n_vars)]
-    values += [1.0 - v for v in values]
+    values = point.literal_values(g.n_vars)
     cuts = []
     for clique in result.cliques:
-        lists = sorted((sub.lift[v] for v in clique), key=len)
-        ext = extend_cut(g, clique, point, lists[0].intersection(*lists[1:]))
+        lifts = [sub.lift[v] for v in clique]
+        ext = extend_cut(g, clique, point, lifts[0].intersection(*lifts[1:]))
         if len(ext) == 2 and max(ext) - min(ext) == g.n_vars:
             continue
         cuts.append(CliqueCut(ext, sum(values[v] for v in ext) - 1.0, ext - clique))

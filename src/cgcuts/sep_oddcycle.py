@@ -5,7 +5,8 @@ graph joining opposite-side copies of j and k, weighted
 (1 - value_j - value_k) / 2 and clamped at zero.  A shortest path between
 the two copies of a literal projects to a closed odd walk; its simple odd
 cycles of length >= 5 whose induced edges cost less than 0.5 are violated
-cuts.  The search keeps its distances and predecessors in flat lists
+cuts; the cost of a cycle's chords is read from the same clamped arc
+weights.  The search keeps its distances and predecessors in flat lists
 indexed by auxiliary node id, and literals with no auxiliary edge are not
 searched from, since their two copies cannot be joined.
 
@@ -70,12 +71,12 @@ def build_auxiliary(g: ConflictGraph, point: FractionalPoint,
     """Build the auxiliary graph over ``nodes`` (default: literals with
     value above the fractionality floor, since zero-valued literals cannot
     sit on a cycle worth cutting)."""
-    n = g.n_vars
+    lit_values = point.literal_values(g.n_vars)
     if nodes is None:
-        nodes = [v for v in range(2 * n) if point.lit_value(v, n) > FRAC_EPS]
+        nodes = [v for v, x in enumerate(lit_values) if x > FRAC_EPS]
     nodes = sorted(nodes)
     index = {v: i for i, v in enumerate(nodes)}
-    value = [point.lit_value(v, n) for v in nodes]
+    value = [lit_values[v] for v in nodes]
     near = g.conflicts_among(nodes)
     adj: list[list[tuple[int, float]]] = [[] for _ in range(2 * len(nodes))]
     clamped = 0
@@ -172,15 +173,16 @@ def separate_odd_cycles(g: ConflictGraph, point: FractionalPoint) -> list[OddCyc
     (lone edges excepted), on the double cover less its arcs into dead
     ends; a recovered cycle is kept when it has odd length >= 5 and the
     edges of its induced subgraph (chords included) cost less than 0.5.
-    Cycles are deduplicated on their canonical rotation/reflection.
+    Those costs are the clamped weights of the auxiliary arcs.  Cycles are
+    deduplicated on their canonical rotation/reflection.
     """
-    n = g.n_vars
-    value = [point.lit_value(v, n) for v in range(2 * n)]
-    aux = build_auxiliary(g, point, [v for v in range(2 * n) if value[v] > FRAC_EPS])
+    value = point.literal_values(g.n_vars)
+    aux = build_auxiliary(g, point)
     lits, adj = aux.nodes, aux.adj
     dead = [len(adj[2 * i]) == 1 for i in range(len(lits))]
     live = [[arc for arc in arcs if not dead[arc[0] >> 1]] for arcs in adj]
-    near = [{v >> 1 for v, _ in arcs} for arcs in adj[::2]]
+    # Per literal, its side-0 arcs: edge weight keyed by the side-1 copy.
+    weight = [dict(arcs) for arcs in adj[::2]]
     kept: dict[tuple[int, ...], None] = {}
     for local in range(len(lits)):
         arcs = adj[2 * local]
@@ -205,11 +207,9 @@ def separate_odd_cycles(g: ConflictGraph, point: FractionalPoint) -> list[OddCyc
                 continue
             cost = 0.0
             for i, a in enumerate(cyc):
-                va = value[lits[a]]
+                wa = weight[a]
                 for b in cyc[i + 1:]:
-                    if b in near[a]:
-                        w = (1.0 - va - value[lits[b]]) / 2.0
-                        cost += max(0.0, w)
+                    cost += wa.get(2 * b + 1, 0.0)  # a non-edge adds nothing
             if cost < 0.5 - 1e-9:
                 kept.setdefault(_canonical_cycle([lits[a] for a in cyc]))
     cuts = []

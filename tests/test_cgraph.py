@@ -5,6 +5,10 @@ from collections import Counter
 from cgcuts import (
     BkParams,
     FractionalPoint,
+    KnapsackRow,
+    MilpInstance,
+    Row,
+    RowCliques,
     build,
     detect_cliques,
     detect_cliques_compressed,
@@ -12,6 +16,7 @@ from cgcuts import (
     normalize_to_knapsack,
 )
 from cgcuts.cgraph import greedy_extend
+from cgcuts.model import EPS
 from cgcuts.oracle import probe_pairs
 from cgcuts.sep_clique import candidate_order_key, fractional_subgraph
 
@@ -52,14 +57,55 @@ def test_detect_cliques_empty_row():
     assert detect_cliques(KnapsackRow([(0, 1.0)], 1.0)) == []
 
 
+def _reference_detect(row):
+    """Detection by linear scans: k is the first i with a[i] + a[i+1] > b,
+    and each f the first j > o with a[o] + a[j] > b."""
+    items = sorted(row.literals, key=lambda t: (t[1], t[0]))
+    lits = [t[0] for t in items]
+    a = [t[1] for t in items]
+    b = row.rhs
+    ks = [i for i in range(len(a) - 1) if a[i] + a[i + 1] > b + EPS]
+    if not ks:
+        return RowCliques([], [])
+    k = ks[0]
+    addtl = []
+    for o in range(k - 1, -1, -1):
+        fs = [j for j in range(o + 1, len(a)) if a[o] + a[j] > b + EPS]
+        if not fs:
+            break
+        addtl.append((lits[o], fs[0] - k + 1))
+    return RowCliques(lits[k:], addtl)
+
+
 def test_detect_per_row_completeness_random():
-    """Union of pairwise edges from the detector == direct a_i+a_j > b pairs."""
+    """Union of pairwise edges from the detector == direct a_i+a_j > b pairs,
+    and the cliques are those of the linear-scan reference."""
     rng = random.Random(21)
     for _ in range(200):
         inst = gen.random_binary_instance(rng, n_vars=rng.randint(2, 16), n_rows=1)
         for k in gen.all_knapsack_rows(inst):
             got = gen.cliques_edge_set(detect_cliques(k))
             assert got == gen.knapsack_row_pairwise_edges(k)
+            assert detect_cliques_compressed(k) == _reference_detect(k)
+
+
+def test_detect_matches_reference_on_ties_and_eps_boundaries():
+    rng = random.Random(27)
+    covered = Counter()
+    for _ in range(300):
+        m = rng.randint(2, 14)
+        coeffs = [rng.choice((0.5, 1.0, 1.5, 2.0, 3.0)) for _ in range(m)]
+        ids = rng.sample(range(2 * m), m)  # ties break by literal id
+        i, j = rng.sample(range(m), 2)
+        # A pair sum within a few EPS of the rhs, either side of b + EPS.
+        rhs = coeffs[i] + coeffs[j] + rng.choice((-2, -1, -0.5, 0, 0.5, 1, 2)) * EPS
+        row = KnapsackRow(list(zip(ids, coeffs)), rhs)
+        ref = _reference_detect(row)
+        assert detect_cliques_compressed(row) == ref
+        covered["cliques"] += bool(ref.initial)
+        covered["tuples"] += bool(ref.addtl)
+        covered["ties"] += len(set(coeffs)) < m
+    assert min(covered.values()) >= 30, covered
 
 
 def test_detect_covers_single_swap_baseline():
@@ -177,13 +223,24 @@ def test_tuple_expansion_edges_are_row_edges():
 
 
 def test_store_tuple_positions_in_range():
+    # A kept tuple has l >= 2, so it is no larger than its first clique,
+    # which is therefore stored too: no tuple reads a dissolved clique.
     rng = random.Random(26)
-    for _ in range(30):
-        inst = gen.random_binary_instance(rng, n_vars=rng.randint(2, 12))
-        g = build(inst, min_clq_size=0)
-        for lit, c, l in g.store.addtl:
-            assert 1 <= l <= len(g.store.first[c])
-            assert lit not in g.store.first[c][l - 1:]
+    instances = [gen.random_binary_instance(rng, n_vars=rng.randint(2, 12))
+                 for _ in range(30)]
+    # Random rows have at most 8 literals, too few to keep a tuple at 4.
+    instances.append(MilpInstance(gen.binary_vars(10), [
+        Row("k", [(j, float(j + 1)) for j in range(10)], "<=", 10.0)]))
+    kept = Counter()
+    for inst in instances:
+        for min_clq_size in (0, 2, 4):
+            g = build(inst, min_clq_size=min_clq_size)
+            for lit, c, l in g.store.addtl:
+                assert 2 <= l <= len(g.store.first[c])
+                assert lit not in g.store.first[c][l - 1:]
+                assert g.store.first_stored[c]
+            kept[min_clq_size] += len(g.store.addtl)
+    assert min(kept.values()) > 0, kept
 
 
 def test_build_determinism():

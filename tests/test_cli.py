@@ -190,15 +190,20 @@ def test_nan_in_model_exits_2(tmp_path, capsys):
         assert captured.err == "error: line 12: NaN value 'nan'\n"
 
 
-@pytest.mark.parametrize("min_viol", ["nan", "inf"])
-def test_non_finite_min_viol_exits_2(triangle, capsys, min_viol):
-    # Exit 1 means "no cuts"; a bad threshold once read that way.
+@pytest.mark.parametrize("min_viol, message", [
+    ("nan", "error: min_viol must be >= 0, not nan"),
+    ("inf", "error: min_weight must be finite"),
+    ("-0.5", "error: min_viol must be >= 0, not -0.5"),
+], ids=["nan", "inf", "-0.5"])
+def test_negative_or_non_finite_min_viol_exits_2(triangle, capsys, min_viol, message):
+    # Exit 1 means "no cuts"; a bad threshold once read that way, and a
+    # negative one printed satisfied rows as cuts with exit 0.
     mpath, ppath = triangle
     assert main(["separate", "clique", mpath, ppath, "--min-viol", min_viol]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
-    assert line.startswith("error: min_weight must be finite")
+    assert line.startswith(message)
 
 
 def test_usage_error_missing_point(triangle):

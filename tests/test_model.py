@@ -253,6 +253,23 @@ def test_fractional_point_validates():
     assert p.lit_value(1, 1) == 0.75
 
 
+def test_literal_values_match_lit_value():
+    # Missing variables read 0; values just outside [0, 1] are clamped.
+    rng = random.Random(9)
+    points = [FractionalPoint({0: 0.3, 2: 1.0 + 1e-9, 3: -1e-9, 5: 0.1 + 0.2, 6: 1.0})]
+    points += [FractionalPoint({j: rng.random() for j in range(8) if rng.random() < 0.7})
+               for _ in range(20)]
+    n = 8
+    for p in points:
+        got = p.literal_values(n)
+        assert len(got) == 2 * n
+        for v in range(2 * n):
+            assert got[v] == p.lit_value(v, n)
+    assert points[0].literal_values(n)[2:4] == [1.0, 0.0]
+    assert points[0].literal_values(n)[1 + n] == 1.0
+    assert FractionalPoint({}).literal_values(0) == []
+
+
 def test_fractional_point_rejects_nan():
     with pytest.raises(ValueError, match="outside"):
         FractionalPoint({0: math.nan})

@@ -1,7 +1,10 @@
 import logging
+import math
 import random
 from collections import Counter
 from dataclasses import replace
+
+import pytest
 
 from cgcuts import (
     BkParams,
@@ -54,6 +57,17 @@ def test_integral_point_no_cuts():
     g = build(gen.triangle_instance())
     point = FractionalPoint({0: 1.0, 1: 0.0, 2: 0.0})
     assert separate_cliques(g, point) == []
+
+
+def test_negative_or_nan_min_viol_raises():
+    # Every edge of the 5-cycle holds at 0.3; a negative threshold once
+    # returned those satisfied rows as cuts.
+    g = build(gen.five_cycle_instance())
+    point = FractionalPoint({j: 0.3 for j in range(5)})
+    for min_viol in (-0.5, -1e-12, math.nan):
+        with pytest.raises(ValueError, match="min_viol must be >= 0"):
+            separate_cliques(g, point, min_viol)
+    assert separate_cliques(g, point, 0.0) == []
 
 
 def test_fractional_subgraph_includes_complements():
