@@ -28,7 +28,7 @@ g = build(inst)
 # x4 is integral (0) here, so only the triangle is fractional support.
 point = FractionalPoint({0: 0.4, 1: 0.4, 2: 0.4, 3: 0.0})
 
-params = BkParams(max_calls=100_000, pivot_rule="wgt", rng_seed=0)
+params = BkParams(max_calls=100_000)
 cuts = separate_cliques(g, point, min_viol=0.02, bk_params=params)
 
 for cut in cuts:
@@ -43,9 +43,3 @@ for cut in cuts:
 # The triangle alone is violated by 0.2; the extension drags x4 in for
 # free (value 0), producing the stronger 4-clique inequality that would
 # otherwise take several separation rounds to assemble.
-
-# The five pivot rules only change the search order, never the answer:
-for rule in ("rnd", "deg", "wgt", "mdg", "mwt"):
-    alt = separate_cliques(g, point, 0.02, BkParams(pivot_rule=rule))
-    assert [c.members for c in alt] == [c.members for c in cuts]
-print("\nall pivot rules agree on the result set")

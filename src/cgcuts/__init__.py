@@ -5,7 +5,7 @@ rows via clique extension, and separates clique and lifted odd-cycle
 cutting planes against externally supplied fractional solutions.
 """
 
-from .bk import BkParams, BkResult, WeightedSubgraph, choose_pivot, find_cliques
+from .bk import BkParams, BkResult, WeightedSubgraph, find_cliques
 from .cgraph import (
     CliqueStore,
     ConflictGraph,
@@ -56,7 +56,6 @@ __all__ = [
     "WeightedSubgraph",
     "build",
     "build_auxiliary",
-    "choose_pivot",
     "complement_node",
     "cut_to_row",
     "detect_cliques",

@@ -3,7 +3,7 @@
 Exit codes for ``separate``: 0 when cuts were found, 1 when none, 2 on
 errors: bad files, usage, or any other exception, which is reported as
 one ``error: <Type>: <message>`` line.  Cut and model payloads are
-byte-identical for identical inputs and seed; the stats report includes
+byte-identical for identical inputs; the stats report includes
 wall-clock timing and is exempt from that guarantee.
 """
 
@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import oracle
-from .bk import PIVOT_RULES, BkParams
+from .bk import BkParams
 from .cgraph import build
 from .model import MilpInstance, ParseError, Row, parse_mps, read_point, write_mps
 from .presolve import strengthen
@@ -110,8 +110,7 @@ def cmd_separate(args) -> int:
     g = build(instance, args.min_clq_size)
     with open(args.point, "r", encoding="utf-8") as f:
         point = read_point(f.read(), instance)
-    params = BkParams(max_calls=args.max_calls, pivot_rule=args.pivot,
-                      rng_seed=args.seed)
+    params = BkParams(max_calls=args.max_calls)
     n = instance.n_vars
     if args.kind == "clique":
         cuts = separate_cliques(g, point, args.min_viol, params)
@@ -184,8 +183,6 @@ def main(argv: list[str] | None = None) -> int:
     p_sep.add_argument("point")
     p_sep.add_argument("--min-viol", type=float, default=0.02)
     p_sep.add_argument("--max-calls", type=int, default=100_000)
-    p_sep.add_argument("--pivot", choices=PIVOT_RULES, default="wgt")
-    p_sep.add_argument("--seed", type=int, default=0)
     p_sep.add_argument("--machine", action="store_true",
                        help="tab-separated machine-readable cut lines")
     _add_common(p_sep)

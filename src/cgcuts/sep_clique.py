@@ -9,6 +9,7 @@ do the work of several rounds of smaller ones.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 from .bk import WEIGHT_EPS, BkParams, WeightedSubgraph, find_cliques, weight_order
@@ -119,8 +120,8 @@ def separate_cliques(g: ConflictGraph, point: FractionalPoint,
                      bk_params: BkParams | None = None) -> list[CliqueCut]:
     """Return clique cuts violated by at least ``min_viol``, best first.
 
-    ``bk_params`` supplies budget, pivot rule and seed; its min_weight is
-    overridden with 1 + min_viol.  Cuts are sorted by decreasing violation.
+    ``bk_params`` supplies the call budget; its min_weight is overridden
+    with 1 + min_viol.  Cuts are sorted by decreasing violation.
     When Bron-Kerbosch stops on its budget, one warning on this module's
     logger gives the calls counted and the budget.
 
@@ -130,11 +131,11 @@ def separate_cliques(g: ConflictGraph, point: FractionalPoint,
     distinct cliques give distinct cuts.  A cut of a literal and its
     complement alone reads ``0 <= 0`` and is dropped; that clique weighs
     exactly 1, so it reaches the threshold only when ``min_viol`` is at
-    most BK's slack.  A negative or NaN ``min_viol`` raises ``ValueError``.
+    most BK's slack.  A negative or non-finite ``min_viol`` raises
+    ``ValueError``.
     """
-    if not min_viol >= 0:  # NaN fails this too
-        raise ValueError(f"min_viol must be >= 0, not {min_viol!r}")
-    # BkParams rejects an infinite min_weight, also before the build.
+    if not (math.isfinite(min_viol) and min_viol >= 0):
+        raise ValueError(f"min_viol must be finite and >= 0, not {min_viol!r}")
     params = replace(bk_params or BkParams(), min_weight=1.0 + min_viol)
     sub = fractional_subgraph(g, point, params.min_weight)
     if not sub.nodes:

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from cgcuts import BkParams, BkResult, WeightedSubgraph, choose_pivot, find_cliques
-from cgcuts.bk import PIVOT_RULES, WEIGHT_EPS, _mask_weight
+from cgcuts import BkParams, BkResult, WeightedSubgraph, find_cliques
+from cgcuts.bk import WEIGHT_EPS
 from cgcuts.oracle import enum_maximal_cliques
 
 import gen
@@ -15,14 +15,24 @@ def _subgraph(adj, weights):
     return WeightedSubgraph.from_edges(weights, edges)
 
 
+def _reference_pivot(g, cand):
+    """The heaviest vertex of ``cand`` by a scan, ties to the smallest
+    local index; no use of the subgraph's numbering."""
+    best = -1
+    for u in range(len(g)):
+        if cand >> u & 1 and (best < 0 or g.weights[u] > g.weights[best]):
+            best = u
+    return best
+
+
 def _reference_find_cliques(g, params, *, prune=True):
-    """The recursive search with a bit-scan decode, kept as the reference
-    for the explicit-stack version.  ``prune=False`` turns the weight bound
-    off, for the check that the bound never changes the clique set."""
+    """The recursive search with a scanned pivot and a full weight sum,
+    kept as the reference for the explicit-stack version.  ``prune=False``
+    turns the weight bound off, for the check that the bound never changes
+    the clique set."""
     n = len(g)
     full = (1 << n) - 1
     minw = params.min_weight - WEIGHT_EPS
-    rng = random.Random(params.rng_seed)
     weights = g.weights
     out = []
     calls = 0
@@ -38,9 +48,10 @@ def _reference_find_cliques(g, params, *, prune=True):
             if r_mask and r_weight >= minw:
                 out.append(r_mask)
             return
-        if prune and r_weight + _mask_weight(p_mask, weights) < minw:
+        p_weight = sum(weights[i] for i in range(n) if p_mask >> i & 1)
+        if prune and r_weight + p_weight < minw:
             return
-        u = choose_pivot(params.pivot_rule, g, p_mask, x_mask, rng)
+        u = _reference_pivot(g, p_mask | x_mask)
         ext = p_mask & ((full ^ g.adj[u] ^ (1 << u)) | (1 << u))
         while ext:
             low = ext & -ext
@@ -72,7 +83,7 @@ def _assert_same_as_reference(g, params):
 def test_matches_recursive_reference():
     rng = random.Random(37)
     truncated = exact = 0
-    for _ in range(24):
+    for _ in range(360):
         n = rng.randint(1, 14)
         adj, weights = gen.random_weighted_graph(rng, n, rng.uniform(0.1, 0.9))
         # Shift ids so that node ids differ from local indices.
@@ -80,14 +91,11 @@ def test_matches_recursive_reference():
         weights = {v + 3: w for v, w in weights.items()}
         g = _subgraph(adj, weights)
         minw = rng.uniform(0.0, 2.0)
-        for rule in PIVOT_RULES:
-            for seed in (0, 1, 2):
-                for max_calls in (1, 3, 5, 17, 10**9):
-                    params = BkParams(min_weight=minw, max_calls=max_calls,
-                                      pivot_rule=rule, rng_seed=seed)
-                    res = _assert_same_as_reference(g, params)
-                    truncated += not res.exact
-                    exact += res.exact and res.calls > 1
+        for max_calls in (1, 3, 5, 17, 10**9):
+            params = BkParams(min_weight=minw, max_calls=max_calls)
+            res = _assert_same_as_reference(g, params)
+            truncated += not res.exact
+            exact += res.exact and res.calls > 1
     assert truncated > 100 and exact > 100
 
 
@@ -127,13 +135,9 @@ def test_exactness_all_rules_and_seeds():
         minw = rng.uniform(0.0, 2.0)
         expect = enum_maximal_cliques(adj, weights, minw)
         g = _subgraph(adj, weights)
-        for rule in PIVOT_RULES:
-            for seed in (0, 1, 2):
-                params = BkParams(min_weight=minw, max_calls=10**9,
-                                  pivot_rule=rule, rng_seed=seed)
-                res = find_cliques(g, params)
-                assert res.exact
-                assert set(res.cliques) == expect, (rule, seed)
+        res = find_cliques(g, BkParams(min_weight=minw, max_calls=10**9))
+        assert res.exact
+        assert set(res.cliques) == expect
 
 
 def test_soundness_under_budget():
@@ -186,22 +190,6 @@ def test_call_count_monotone_on_nested_subgraphs():
     assert all(a <= b for a, b in zip(calls, calls[1:]))
 
 
-def test_choose_pivot_single_candidate():
-    g = WeightedSubgraph.from_edges({5: 1.0}, [])
-    for rule in PIVOT_RULES:
-        assert choose_pivot(rule, g, 1, 0, random.Random(0)) == 0
-
-
-def test_choose_pivot_star():
-    # center 0 with weight 0, leaves heavier
-    weights = {0: 0.0, 1: 0.3, 2: 0.9, 3: 0.5}
-    edges = [(0, 1), (0, 2), (0, 3)]
-    g = WeightedSubgraph.from_edges(weights, edges)
-    full = 0b1111
-    assert g.nodes[choose_pivot("deg", g, full, 0)] == 0
-    assert g.nodes[choose_pivot("wgt", g, full, 0)] == 2
-
-
 def test_subgraph_numbered_by_weight():
     weights = {7: 0.5, 2: 0.9, 9: 0.1, 5: 0.9, 4: 0.5}
     g = WeightedSubgraph.from_edges(weights, [(7, 2), (9, 5)])
@@ -216,11 +204,11 @@ def test_subgraph_numbered_by_weight():
 def test_wgt_pivot_ties_go_to_smallest_id():
     # On tied weights the heaviest vertex with the smallest id is the
     # lowest set bit of any candidate set, which find_cliques takes as
-    # its wgt pivot without a scan.
+    # its pivot without a scan.
     weights = {7: 0.5, 2: 0.9, 9: 0.5, 5: 0.9, 4: 0.5, 3: 0.9}
     g = WeightedSubgraph.from_edges(weights, [])
     for cand in range(1, 1 << len(g)):
-        u = choose_pivot("wgt", g, cand, 0)
+        u = _reference_pivot(g, cand)
         assert u == (cand & -cand).bit_length() - 1
         members = [g.nodes[i] for i in range(len(g)) if cand >> i & 1]
         heaviest = max(weights[v] for v in members)
@@ -233,42 +221,12 @@ def test_wgt_pivot_ties_go_to_smallest_id():
         ids = rng.sample(range(100), n)
         adj = {ids[v]: {ids[u] for u in adj[v]} for v in adj}
         g = _subgraph(adj, {v: rng.choice((0.25, 0.5)) for v in adj})
-        for rule in PIVOT_RULES:
-            _assert_same_as_reference(g, BkParams(min_weight=1.0, max_calls=10**9,
-                                                  pivot_rule=rule))
-
-
-def test_choose_pivot_mwt_path():
-    weights = {0: 1.0, 1: 1.0, 2: 1.0}
-    g = WeightedSubgraph.from_edges(weights, [(0, 1), (1, 2)])
-    assert choose_pivot("mwt", g, 0b111, 0) == 1  # middle sums to 3
-
-
-def test_choose_pivot_mdg_counts_only_p():
-    # node 0 has three neighbors but only one inside P; node 3 has two in P
-    weights = {v: 1.0 for v in range(6)}
-    edges = [(0, 1), (0, 4), (0, 5), (3, 1), (3, 2)]
-    g = WeightedSubgraph.from_edges(weights, edges)
-    p_mask = 0b000110  # candidates P = {1, 2}
-    x_mask = 0b001001  # pivot pool also holds {0, 3}
-    assert choose_pivot("mdg", g, p_mask, x_mask) == 3
-    assert choose_pivot("deg", g, p_mask, x_mask) == 0
-
-
-def test_choose_pivot_rnd_seeded():
-    weights = {v: 1.0 for v in range(6)}
-    g = WeightedSubgraph.from_edges(weights, [])
-    picks = [choose_pivot("rnd", g, 0b111111, 0, random.Random(17)) for _ in range(5)]
-    again = [choose_pivot("rnd", g, 0b111111, 0, random.Random(17)) for _ in range(5)]
-    assert picks == again
-    assert all(0 <= p < 6 for p in picks)
+        _assert_same_as_reference(g, BkParams(min_weight=1.0, max_calls=10**9))
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
         BkParams(max_calls=0)
-    with pytest.raises(ValueError):
-        BkParams(pivot_rule="best")
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="min_weight must be finite"):
             BkParams(min_weight=bad)
@@ -276,9 +234,8 @@ def test_params_validation():
 
 def test_params_defaults():
     p = BkParams()
+    assert p.min_weight == 1.0
     assert p.max_calls == 100_000
-    assert p.pivot_rule == "wgt"
-    assert p.rng_seed == 0
 
 
 def test_subgraph_mask_invariants():

@@ -139,7 +139,7 @@ def test_separate_deterministic_output(triangle, tmp_path):
     for name in ("a", "b"):
         path = tmp_path / f"{name}.cuts"
         assert main(["separate", "clique", mpath, ppath,
-                     "--seed", "7", "--out", str(path)]) == 0
+                     "--out", str(path)]) == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
 
@@ -147,8 +147,7 @@ def test_separate_deterministic_output(triangle, tmp_path):
 def test_separate_flags_accepted(triangle, capsys):
     mpath, ppath = triangle
     rc = main(["separate", "clique", mpath, ppath, "--min-viol", "0.4",
-               "--max-calls", "10", "--pivot", "rnd", "--seed", "3",
-               "--min-clq-size", "0"])
+               "--max-calls", "10", "--min-clq-size", "0"])
     assert rc == 0
     capsys.readouterr()
 
@@ -191,9 +190,9 @@ def test_nan_in_model_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("min_viol, message", [
-    ("nan", "error: min_viol must be >= 0, not nan"),
-    ("inf", "error: min_weight must be finite"),
-    ("-0.5", "error: min_viol must be >= 0, not -0.5"),
+    ("nan", "error: min_viol must be finite and >= 0, not nan"),
+    ("inf", "error: min_viol must be finite and >= 0, not inf"),
+    ("-0.5", "error: min_viol must be finite and >= 0, not -0.5"),
 ], ids=["nan", "inf", "-0.5"])
 def test_negative_or_non_finite_min_viol_exits_2(triangle, capsys, min_viol, message):
     # Exit 1 means "no cuts"; a bad threshold once read that way, and a

@@ -64,8 +64,8 @@ def test_negative_or_nan_min_viol_raises():
     # returned those satisfied rows as cuts.
     g = build(gen.five_cycle_instance())
     point = FractionalPoint({j: 0.3 for j in range(5)})
-    for min_viol in (-0.5, -1e-12, math.nan):
-        with pytest.raises(ValueError, match="min_viol must be >= 0"):
+    for min_viol in (-0.5, -1e-12, math.nan, math.inf):
+        with pytest.raises(ValueError, match="min_viol must be finite and >= 0"):
             separate_cliques(g, point, min_viol)
     assert separate_cliques(g, point, 0.0) == []
 
