@@ -8,9 +8,9 @@ boundary, keyed by the pair-sum test.  Those extra cliques are kept as
 (literal, row, start) tuples rather than being expanded, which is what
 keeps the loop out of quadratic territory.
 
-After construction, every stored clique whose size is at most
-``min_clq_size`` is dissolved into plain pairwise adjacency entries; the
-remaining large cliques stay in the tuple store.  One walk over the
+``build`` stores or dissolves each clique as soon as it is detected: a
+clique of at most ``min_clq_size`` members becomes plain pairwise
+adjacency entries, a larger one stays in the tuple store.  One walk over the
 adjacency lists and the clique indices serves two queries: ``neighbors``
 caches a sorted tuple per literal, which ``conflicting`` and ``degree``
 read, and ``conflicts_among`` lists the conflicts inside a set of literals
@@ -98,11 +98,12 @@ class CliqueStore:
     coefficient order.  ``addtl`` holds tuples (literal, c, l): the clique
     {literal} with positions l..len(first[c]) of ``first[c]`` (l is
     1-based).  ``adjfirst``/``adjaddtl`` index, per node, the stored
-    cliques/tuples containing it.  ``first_stored[c]`` is False once a
-    first clique has been dissolved into pairwise entries.  No kept tuple
-    reads a dissolved first clique: detection gives every tuple l >= 2, so
-    a tuple has at most ``len(first[c])`` members, and it is kept only when
-    it is larger than ``min_clq_size``, which leaves ``first[c]`` stored.
+    cliques/tuples containing it.  ``first_stored[c]`` is False when the
+    first clique was dissolved into pairwise entries instead.  Only the
+    tuples larger than ``min_clq_size`` are kept, and none reads a
+    dissolved first clique: detection gives every tuple l >= 2, so a tuple
+    has at most ``len(first[c])`` members, and a kept one leaves
+    ``first[c]`` larger than ``min_clq_size`` too, hence stored.
     """
 
     first: list[list[int]] = field(default_factory=list)
@@ -255,51 +256,42 @@ def build(instance: MilpInstance, min_clq_size: int = 512) -> ConflictGraph:
     """
     n = instance.n_vars
     n_nodes = 2 * n
-    store = CliqueStore()
+    store = CliqueStore(adjfirst=[[] for _ in range(n_nodes)],
+                        adjaddtl=[[] for _ in range(n_nodes)])
     pair_sets: list[set[int]] = [set() for _ in range(n_nodes)]
     detected = 0
 
     for row in instance.rows:
         for krow in normalize_to_knapsack(row, instance):
             rc = detect_cliques_compressed(krow)
-            if not rc.initial:
+            initial = rc.initial
+            if not initial:
                 continue
             detected += 1 + len(rc.addtl)
             c = len(store.first)
-            store.first.append(rc.initial)
+            stored = len(initial) > min_clq_size
+            store.first.append(initial)
+            store.first_stored.append(stored)
+            for v in initial:
+                if stored:
+                    store.adjfirst[v].append(c)
+                else:
+                    pair_sets[v].update(initial)  # v itself is dropped below
             for lit, l in rc.addtl:
-                store.addtl.append((lit, c, l))
+                suffix = initial[l - 1:]
+                if len(suffix) + 1 > min_clq_size:
+                    t = len(store.addtl)
+                    store.addtl.append((lit, c, l))
+                    for v in (lit, *suffix):
+                        store.adjaddtl[v].append(t)
+                else:
+                    # Suffix-internal pairs are covered by ``initial``;
+                    # only the outside literal needs new edges.
+                    pair_sets[lit].update(suffix)
+                    for v in suffix:
+                        pair_sets[v].add(lit)
 
-    store.first_stored = [len(f) > min_clq_size for f in store.first]
-    for c, f in enumerate(store.first):
-        if not store.first_stored[c]:
-            for i in range(len(f)):
-                for k in range(i + 1, len(f)):
-                    pair_sets[f[i]].add(f[k])
-                    pair_sets[f[k]].add(f[i])
-
-    kept: list[tuple[int, int, int]] = []
-    for lit, c, l in store.addtl:
-        if len(store.first[c]) - l + 2 <= min_clq_size:
-            # Suffix-internal pairs are covered by first[c] (stored or
-            # dissolved above); only the outside literal needs new edges.
-            for v in store.first[c][l - 1:]:
-                pair_sets[lit].add(v)
-                pair_sets[v].add(lit)
-        else:
-            kept.append((lit, c, l))
-    store.addtl = kept
-
-    store.adjfirst = [[] for _ in range(n_nodes)]
-    store.adjaddtl = [[] for _ in range(n_nodes)]
-    for c in range(len(store.first)):
-        if store.first_stored[c]:
-            for v in store.first[c]:
-                store.adjfirst[v].append(c)
-    for t, (lit, c, l) in enumerate(store.addtl):
-        store.adjaddtl[lit].append(t)
-        for v in store.first[c][l - 1:]:
-            store.adjaddtl[v].append(t)
-
+    for v, s in enumerate(pair_sets):
+        s.discard(v)
     adjlist = [sorted(s) for s in pair_sets]
     return ConflictGraph(n, store, adjlist, detected)

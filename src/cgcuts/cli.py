@@ -110,9 +110,9 @@ def cmd_separate(args) -> int:
     g = build(instance, args.min_clq_size)
     with open(args.point, "r", encoding="utf-8") as f:
         point = read_point(f.read(), instance)
-    params = BkParams(max_calls=args.max_calls)
     n = instance.n_vars
     if args.kind == "clique":
+        params = BkParams(max_calls=args.max_calls)
         cuts = separate_cliques(g, point, args.min_viol, params)
         found = [(cut_to_row(cut, n, f"clique_{i}"), cut.violation, "")
                  for i, cut in enumerate(cuts)]
@@ -178,14 +178,16 @@ def main(argv: list[str] | None = None) -> int:
     p_str.set_defaults(func=cmd_strengthen)
 
     p_sep = sub.add_parser("separate", help="separate cuts against a point")
-    p_sep.add_argument("kind", choices=("clique", "oddcycle"))
-    p_sep.add_argument("model")
-    p_sep.add_argument("point")
-    p_sep.add_argument("--min-viol", type=float, default=0.02)
-    p_sep.add_argument("--max-calls", type=int, default=100_000)
-    p_sep.add_argument("--machine", action="store_true",
+    sep_sub = p_sep.add_subparsers(dest="kind", required=True)
+    p_clq, p_odd = sep_sub.add_parser("clique"), sep_sub.add_parser("oddcycle")
+    p_clq.add_argument("--min-viol", type=float, default=0.02)
+    p_clq.add_argument("--max-calls", type=int, default=100_000)
+    for q in (p_clq, p_odd):
+        q.add_argument("model")
+        q.add_argument("point")
+        q.add_argument("--machine", action="store_true",
                        help="tab-separated machine-readable cut lines")
-    _add_common(p_sep)
+        _add_common(q)
     p_sep.set_defaults(func=cmd_separate)
 
     p_or = sub.add_parser("oracle", help="brute-force references (debugging)")

@@ -66,15 +66,13 @@ class AuxiliaryGraph:
         return 2 * len(self.nodes)
 
 
-def build_auxiliary(g: ConflictGraph, point: FractionalPoint,
-                    nodes: Sequence[int] | None = None) -> AuxiliaryGraph:
-    """Build the auxiliary graph over ``nodes`` (default: literals with
-    value above the fractionality floor, since zero-valued literals cannot
-    sit on a cycle worth cutting)."""
+def build_auxiliary(g: ConflictGraph, point: FractionalPoint) -> AuxiliaryGraph:
+    """Build the auxiliary graph over the literals with value above the
+    fractionality floor, since zero-valued literals cannot sit on a cycle
+    worth cutting.  Complements join in: a literal and its complement
+    always conflict."""
     lit_values = point.literal_values(g.n_vars)
-    if nodes is None:
-        nodes = [v for v, x in enumerate(lit_values) if x > FRAC_EPS]
-    nodes = sorted(nodes)
+    nodes = [v for v, x in enumerate(lit_values) if x > FRAC_EPS]
     index = {v: i for i, v in enumerate(nodes)}
     value = [lit_values[v] for v in nodes]
     near = g.conflicts_among(nodes)
@@ -149,13 +147,14 @@ def _walk_cycles(walk: list[int]) -> list[list[int]]:
 
 
 def _canonical_cycle(seq: list[int]) -> tuple[int, ...]:
-    best: tuple[int, ...] | None = None
-    for base in (seq, seq[::-1]):
-        for r in range(len(base)):
-            cand = tuple(base[r:] + base[:r])
-            if best is None or cand < best:
-                best = cand
-    return best  # type: ignore[return-value]
+    """The smallest rotation or reflection of a cycle of distinct members,
+    in O(k): start at the smallest member, then go towards its smaller
+    neighbor."""
+    r = seq.index(min(seq))
+    seq = seq[r:] + seq[:r]
+    if seq[-1] < seq[1]:
+        seq = seq[:1] + seq[:0:-1]
+    return tuple(seq)
 
 
 def lift_center(g: ConflictGraph, cycle: Sequence[int],

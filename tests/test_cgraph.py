@@ -261,6 +261,23 @@ def test_dissolution_moves_small_cliques_to_adjlist():
     assert g.edge_set() == build(inst, 0).edge_set()
 
 
+def test_keep_dissolve_boundary():
+    # A clique is kept iff it has more than min_clq_size members, so each
+    # size below stores or dissolves a clique of exactly that many.  The
+    # first cliques have 4, 3 and 5 members, the tuples 3, 2, 5, 5 and 3.
+    inst = gen.tuple_store_instance()
+    expected = {
+        2: ([True, True, True], [(1, 0, 3), (2, 2, 2), (1, 2, 2), (0, 2, 4)]),
+        4: ([False, False, True], [(2, 2, 2), (1, 2, 2)]),
+        5: ([False, False, False], []),
+    }
+    for min_clq_size, (first_stored, addtl) in expected.items():
+        g = build(inst, min_clq_size)
+        assert g.store.first_stored == first_stored, min_clq_size
+        assert g.store.addtl == addtl, min_clq_size
+        assert g.edge_set() == build(inst, 0).edge_set()
+
+
 def test_dump_format():
     inst = gen.tuple_store_instance()
     g = build(inst, min_clq_size=0)

@@ -152,6 +152,16 @@ def test_separate_flags_accepted(triangle, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", [["--min-viol", "5"], ["--max-calls", "1"]])
+def test_separate_oddcycle_rejects_clique_flags(wheel, capsys, flag):
+    # --min-viol and --max-calls belong to the clique separator only
+    mpath, ppath = wheel
+    with pytest.raises(SystemExit) as exc:
+        main(["separate", "oddcycle", mpath, ppath, *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 def test_error_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "nope.mps")
     assert main(["stats", missing]) == 2

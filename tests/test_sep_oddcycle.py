@@ -22,19 +22,30 @@ from cgcuts.sep_oddcycle import (
     _walk_cycles,
 )
 from cgcuts.oracle import enum_conflict_feasible, enum_odd_cycles, probe_pairs
+from cgcuts.oracle import _canonical_cycle as oracle_canonical_cycle
 
 import gen
+
+
+def _aux_edge_weights(aux):
+    """Each auxiliary edge as {literal pair: weight}, read from side 0."""
+    return {frozenset((aux.nodes[u >> 1], aux.nodes[v >> 1])): w
+            for u in range(0, aux.n_aux, 2) for v, w in aux.adj[u]}
 
 
 def test_auxiliary_single_edge_weights():
     inst = MilpInstance(gen.binary_vars(2), gen.pair_rows([(0, 1)]))
     g = build(inst)
-    point = FractionalPoint({0: 0.3, 1: 0.4})
-    aux = build_auxiliary(g, point, nodes=[0, 1])
-    weights = [w for nbrs in aux.adj for _, w in nbrs]
-    assert weights and all(w == pytest.approx(0.15) for w in weights)
+    point = FractionalPoint({0: 0.25, 1: 0.5})
+    aux = build_auxiliary(g, point)
+    assert aux.nodes == [0, 1, 2, 3]
+    # the complement edges x + !x cost (1 - 1) / 2 = 0
+    assert _aux_edge_weights(aux) == {
+        frozenset((0, 1)): 0.125, frozenset((0, 2)): 0.0, frozenset((1, 3)): 0.0,
+    }
+    assert aux.clamped_edges == 0
     point2 = FractionalPoint({0: 0.5, 1: 0.5})
-    aux2 = build_auxiliary(g, point2, nodes=[0, 1])
+    aux2 = build_auxiliary(g, point2)
     assert {w for nbrs in aux2.adj for _, w in nbrs} == {0.0}
 
 
@@ -42,10 +53,12 @@ def test_auxiliary_five_cycle_structure():
     inst = gen.five_cycle_instance()
     g = build(inst)
     point = FractionalPoint({j: 0.5 for j in range(5)})
-    aux = build_auxiliary(g, point, nodes=list(range(5)))
-    assert aux.n_aux == 10
+    aux = build_auxiliary(g, point)
+    assert aux.nodes == list(range(10))  # every literal and its complement
+    assert aux.n_aux == 20
+    # 5 cycle edges and 5 complement edges, each on both sides
     n_edges = sum(len(nbrs) for nbrs in aux.adj) // 2
-    assert n_edges == 10
+    assert n_edges == 20
     # bipartite: every edge joins opposite sides
     for u, nbrs in enumerate(aux.adj):
         for v, _ in nbrs:
@@ -55,9 +68,11 @@ def test_auxiliary_five_cycle_structure():
 def test_auxiliary_clamps_and_counts():
     inst = MilpInstance(gen.binary_vars(2), gen.pair_rows([(0, 1)]))
     g = build(inst)
-    point = FractionalPoint({0: 0.9, 1: 0.8})
-    aux = build_auxiliary(g, point, nodes=[0, 1])
+    point = FractionalPoint({0: 0.75, 1: 0.5})
+    aux = build_auxiliary(g, point)
+    # only x1 + x2 = 1.25 clamps; the complement edges weigh exactly 0
     assert aux.clamped_edges == 1
+    assert _aux_edge_weights(aux)[frozenset((0, 1))] == 0.0
     assert all(w >= 0.0 for nbrs in aux.adj for _, w in nbrs)
 
 
@@ -139,6 +154,16 @@ def test_walk_cycle_decomposition():
     walk = [9, 0, 1, 2, 3, 4, 0, 9]
     [cyc] = [c for c in _walk_cycles(walk) if len(c) >= 3]
     assert sorted(cyc) == [0, 1, 2, 3, 4]
+
+
+def test_canonical_cycle_matches_oracle():
+    # the O(k) form against the oracle's scan of all 2k rotations and
+    # reflections, on cycles of distinct members as _walk_cycles yields
+    rng = random.Random(5)
+    for _ in range(2000):
+        cyc = rng.sample(range(40), rng.randint(3, 15))
+        assert _canonical_cycle(cyc) == oracle_canonical_cycle(cyc)
+    assert _canonical_cycle([7, 2, 9, 4, 5]) == (2, 7, 5, 4, 9)  # reflected
 
 
 def _graph_dicts(g, point):
