@@ -11,10 +11,13 @@ keeps the loop out of quadratic territory.
 ``build`` stores or dissolves each clique as soon as it is detected: a
 clique of at most ``min_clq_size`` members becomes plain pairwise
 adjacency entries, a larger one stays in the tuple store.  One walk over the
-adjacency lists and the clique indices serves two queries: ``neighbors``
-caches a sorted tuple per literal, which ``conflicting`` and ``degree``
-read, and ``conflicts_among`` lists the conflicts inside a set of literals
-without caching, so the split is invisible to callers.  The trivial
+adjacency lists and the clique indices lists the literals conflicting with
+one literal, so the split is invisible to callers.  Only ``neighbors``
+caches, a sorted tuple per literal, for the readers that ask again and
+again: ``conflicting``, ``greedy_extend``, the clique separator and the
+presolve order.  ``conflicts_among``, ``degree`` and ``edge_set`` walk
+afresh and fill no cache, so counting the edges of a stored k-literal
+clique holds one member's neighbors at a time, not k of them.  The trivial
 conflict between a literal and its complement is never stored and always
 reported.
 
@@ -138,66 +141,55 @@ class ConflictGraph:
         return i < len(nbrs) and nbrs[i] == b
 
     def neighbors(self, a: int) -> tuple[int, ...]:
-        """All literals conflicting with a, sorted; always includes the complement."""
+        """All literals conflicting with a, sorted; always includes the
+        complement.  The one query that fills the cache: ``conflicting``,
+        ``greedy_extend``, the clique separator and the presolve order read
+        the same literals again and again."""
         cached = self._nbrs.get(a)
         if cached is not None:
             return cached
-        result = tuple(sorted(self._walk((a,))[a]))
+        result = tuple(sorted(self._walk(a)))
         self._nbrs[a] = result
         return result
 
     def conflicts_among(self, lits: Iterable[int]) -> dict[int, list[int]]:
         """For each literal of ``lits``, the sorted literals of ``lits``
-        conflicting with it.  Fills no cache: a stored clique is read once
-        for the whole set, not once per member."""
+        conflicting with it.  Fills no cache."""
         within = set(lits)
-        return {a: sorted(s) for a, s in self._walk(within, within).items()}
+        return {a: sorted(within.intersection(self._walk(a))) for a in within}
 
-    def _walk(self, lits: Iterable[int],
-              within: set[int] | None = None) -> dict[int, set[int]]:
+    def _walk(self, a: int) -> set[int]:
         """The one walk over the adjacency lists and the clique indices:
-        for each literal of ``lits``, the literals conflicting with it (only
-        those in ``within`` when given).  A stored clique is filtered once,
-        however many of ``lits`` it holds, and a tuple's suffix is read
-        only by its outside literal."""
+        the literals conflicting with a.  A tuple's suffix is read only by
+        its outside literal."""
         st = self.store
-        out: dict[int, set[int]] = {}
-        inside: dict[int, set[int]] = {}  # stored clique -> its members in ``within``
-        for a in lits:
-            s = set(self.adjlist[a])
-            s.add(self.complement(a))
-            if within is not None:
-                s.intersection_update(within)
-            for c in st.adjfirst[a]:
-                if within is None:
-                    s.update(st.first[c])
-                else:
-                    members = inside.get(c)
-                    if members is None:
-                        members = inside[c] = within.intersection(st.first[c])
-                    s.update(members)
-            for t in st.adjaddtl[a]:
-                lit, c, l = st.addtl[t]
-                if lit == a:  # the one holder that reads the suffix
-                    suffix = st.first[c][l - 1:]
-                    s.update(suffix if within is None else within.intersection(suffix))
-                elif within is None or lit in within:
-                    # A suffix member reaches the rest of the suffix through
-                    # first[c], which is stored whenever the tuple is.
-                    s.add(lit)
-            s.discard(a)
-            out[a] = s
-        return out
+        s = set(self.adjlist[a])
+        s.add(self.complement(a))
+        for c in st.adjfirst[a]:
+            s.update(st.first[c])
+        for t in st.adjaddtl[a]:
+            lit, c, l = st.addtl[t]
+            if lit == a:  # the one holder that reads the suffix
+                s.update(st.first[c][l - 1:])
+            else:
+                # A suffix member reaches the rest of the suffix through
+                # first[c], which is stored whenever the tuple is.
+                s.add(lit)
+        s.discard(a)
+        return s
 
     def degree(self, a: int) -> int:
-        return len(self.neighbors(a))
+        """Number of literals conflicting with a, complement included.
+        Fills no cache, so counting every degree holds one literal's
+        neighbors at a time."""
+        return len(self._walk(a))
 
     def edge_set(self) -> set[frozenset[int]]:
-        """All stored (non-trivial) conflict edges."""
+        """All stored (non-trivial) conflict edges.  Fills no cache."""
         edges: set[frozenset[int]] = set()
         for a in range(self.n_nodes):
             comp = self.complement(a)
-            for b in self.neighbors(a):
+            for b in self._walk(a):
                 if b != comp:
                     edges.add(frozenset((a, b)))
         return edges

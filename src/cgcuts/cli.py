@@ -62,17 +62,12 @@ def cmd_stats(args) -> int:
     n_int = sum(1 for v in instance.variables if v.is_integer and not v.is_binary)
     n_con = instance.n_vars - n_bin - n_int
     nz = sum(len(r.coeffs) for r in instance.rows)
-    # neighbors() holds the complement once; edge_set() drops it.
+    # degree() counts the complement once, which edge_set() drops; it
+    # fills no cache, so one literal's neighbors are held at a time.
     n_edges = sum(g.degree(a) - 1 for a in range(g.n_nodes)) // 2
     st = g.store
     stored_first = sum(st.first_stored)
     adj_entries = sum(len(a) for a in g.adjlist)
-    mem = (
-        sum(len(f) for f in st.first) * 8
-        + len(st.addtl) * 24
-        + adj_entries * 8
-        + (sum(len(x) for x in st.adjfirst) + sum(len(x) for x in st.adjaddtl)) * 8
-    )
     lines = [
         f"instance: {instance.name or args.model}",
         f"variables: {instance.n_vars} (binary {n_bin}, integer {n_int}, continuous {n_con})",
@@ -81,7 +76,6 @@ def cmd_stats(args) -> int:
         f"cliques detected: {g.cliques_detected}",
         f"stored: first cliques {stored_first}, tuples {len(st.addtl)}, adjlist entries {adj_entries}",
         f"build time: {elapsed:.6f} s",
-        f"memory estimate: {mem} bytes",
     ]
     text = "\n".join(lines) + "\n"
     if args.dump:

@@ -53,7 +53,8 @@ def extend_clique(g: ConflictGraph, clique: Iterable[int]) -> frozenset[int]:
         for v in members[i + 1:]:
             if not g.conflicting(u, v):
                 raise ValueError(f"input is not a clique: {u} and {v} do not conflict")
-    return greedy_extend(g, c, lambda v: (-g.degree(v), v))
+    # Degree as the cached neighbor count: greedy_extend reads the same lists.
+    return greedy_extend(g, c, lambda v: (-len(g.neighbors(v)), v))
 
 
 def _set_packing_clique(krow) -> frozenset[int] | None:
@@ -105,14 +106,18 @@ def strengthen(instance: MilpInstance, g: ConflictGraph,
                 removed.append(rj)
 
     removed_set = set(removed)
+    taken = {row.name for row in instance.rows} | {instance.objective_name}
     new_rows = []
     for ri, row in enumerate(instance.rows):
         if ri in removed_set:
             continue
         if ri in extended:
+            name, k = row.name + "_clqext", 2
+            while name in taken:  # the model may already use the name
+                name, k = f"{row.name}_clqext{k}", k + 1
+            taken.add(name)
             terms = [(lit, 1.0) for lit in sorted(extended[ri])]
-            new_rows.append(literals_to_row(terms, 1.0, instance.n_vars,
-                                            row.name + "_clqext"))
+            new_rows.append(literals_to_row(terms, 1.0, instance.n_vars, name))
         else:
             new_rows.append(row)
 

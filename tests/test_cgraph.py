@@ -186,7 +186,10 @@ def test_neighbors_symmetry_and_oracle_equivalence():
         g = build(inst, min_clq_size=rng.choice([0, 2, 512]))
         probe = probe_pairs(inst)
         assert g.edge_set() == probe.edges
+        degrees = [g.degree(a) for a in range(g.n_nodes)]
+        assert not g._nbrs  # edge_set and degree fill no cache
         for a in range(g.n_nodes):
+            assert degrees[a] == len(g.neighbors(a))
             for b in g.neighbors(a):
                 assert a in g.neighbors(b)
                 assert g.conflicting(a, b) and g.conflicting(b, a)
@@ -198,11 +201,17 @@ def test_neighbors_symmetry_and_oracle_equivalence():
 def test_storage_transparency():
     """Query answers are independent of where the split parameter lands."""
     rng = random.Random(24)
+    pick = random.Random(124)  # subsets drawn apart, so the instances stay put
     for _ in range(30):
         inst = gen.random_binary_instance(rng, n_vars=rng.randint(2, 10))
         graphs = [build(inst, m) for m in (0, 1, 2, 3, 512)]
         base = graphs[-1]
+        subset = pick.sample(range(base.n_nodes), pick.randint(0, base.n_nodes))
+        among = base.conflicts_among(subset)
+        assert among == {a: [b for b in base.neighbors(a) if b in among]
+                         for a in subset}
         for g in graphs[:-1]:
+            assert g.conflicts_among(subset) == among
             for a in range(base.n_nodes):
                 assert g.neighbors(a) == base.neighbors(a)
                 for b in range(a + 1, base.n_nodes):

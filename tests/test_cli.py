@@ -265,6 +265,26 @@ def test_stats_edge_count_matches_edge_set_with_tuples(tmp_path, capsys):
         assert f"conflict graph: nodes {g.n_nodes}, edges {len(g.edge_set())}\n" in out
 
 
+def test_stats_holds_one_literals_neighbors_at_a_time(tmp_path, capsys):
+    # Counting edges walks each literal of the stored 2,000-literal clique
+    # without caching its neighbors: about 30 MB if all 4,000 were kept.
+    import tracemalloc
+
+    n = 2000
+    inst = MilpInstance(gen.binary_vars(n), [Row("pack", [(j, 1.0) for j in range(n)], "<=", 1.0)])
+    path = tmp_path / "pack.mps"
+    path.write_text(write_mps(inst))
+    tracemalloc.start()
+    try:
+        assert main(["stats", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    edges = n * (n - 1) // 2  # complement pairs are not counted
+    assert f"conflict graph: nodes {2 * n}, edges {edges}\n" in capsys.readouterr().out
+    assert peak < 8 * 2**20
+
+
 def _run_python(*args):
     """Run a fresh interpreter that imports cgcuts from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")

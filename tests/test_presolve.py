@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from cgcuts import Row, build, extend_clique, strengthen
+from cgcuts import MilpInstance, Row, build, extend_clique, parse_mps, strengthen, write_mps
+from cgcuts.cli import main
 from cgcuts.oracle import enum_feasible
 
 import gen
@@ -181,3 +182,25 @@ def test_strengthen_cover_rows_extend_over_complements():
     assert row.coeffs == [(0, -1.0), (1, -1.0), (2, -1.0)]
     assert row.rhs == -2.0
     assert enum_feasible(report.instance) == enum_feasible(inst)
+
+
+def test_strengthen_names_around_existing_clqext_row(tmp_path):
+    # r1 extends to {x1, x2, x3}, but the model already has a row r1_clqext.
+    inst = MilpInstance(gen.binary_vars(3), [
+        Row("r1", [(0, 1.0), (1, 1.0)], "<=", 1.0),
+        Row("r1_clqext", [(2, 1.0)], "<=", 1.0),
+        Row("r2", [(0, 1.0), (1, 1.0), (2, 1.0)], "<=", 1.0),
+    ])
+    path, out = tmp_path / "m.mps", tmp_path / "out.mps"
+    path.write_text(write_mps(inst))
+    assert main(["strengthen", str(path), "--out", str(out)]) == 0
+    result = parse_mps(out.read_text())
+    assert [r.name for r in result.rows] == ["r1_clqext2", "r1_clqext"]
+    assert result.rows[0].coeffs == [(0, 1.0), (1, 1.0), (2, 1.0)]
+    assert result.rows[1] == inst.rows[1]
+    # The objective row's name is taken too.
+    inst = MilpInstance(inst.variables, [inst.rows[0], inst.rows[2]],
+                        objective_name="r1_clqext")
+    out = strengthen(inst, build(inst)).instance
+    assert [r.name for r in out.rows] == ["r1_clqext2"]
+    assert parse_mps(write_mps(out)).rows == out.rows
