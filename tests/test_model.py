@@ -282,3 +282,84 @@ def test_literals_to_row_merges_complement_pairs():
     row = literals_to_row([(0, 1.0), (3, 1.0), (1, 1.0)], 1.0, 3, "r")
     assert row.coeffs == [(1, 1.0)]
     assert row.rhs == 0.0
+
+
+def _edit(old, new):
+    text = MINIMAL_MPS.replace(old, new)
+    assert text != MINIMAL_MPS
+    return text
+
+
+_INTEND = "    MARKER                 'MARKER'                 'INTEND'"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_edit(" L c1", " L c1 extra"), "line 4: ROWS line must be '<sense> <name>'"),
+    (_edit("    x2 c1 1.0", "    x2 c1"),
+     "line 8: COLUMNS line must be '<col> (<row> <value>)+'"),
+    (_edit("    RHS c1 1.0", "    RHS c1"), "line 11: RHS line must be '<set> (<row> <value>)+'"),
+    (_edit(" BV BND x2", " BV BND"), "line 14: BOUNDS line must be '<type> <set> <col> [value]'"),
+    (_edit(" L c1", " X c1"), "line 4: unknown row sense 'X'"),
+    (_edit(_INTEND, "    MARKER 'MARKER' 'INTFOO'"), "line 9: marker line without INTORG/INTEND"),
+    (_edit("    x2 c1 1.0", "    x2 nosuch 1.0"), "line 8: unknown row 'nosuch'"),
+    (_edit("    RHS c1 1.0", "    RHS nosuch 1.0"), "line 11: unknown row 'nosuch'"),
+    (_edit("    x2 c1 1.0", "    x2 c1 1.0 c1 0.0"),
+     "line 8: duplicate entry for column 'x2' in row 'c1'"),
+    (_edit("    x2 c1 1.0", "    x2 OBJ 0.0\n    x2 c1 1.0 OBJ 2.0"),
+     "line 9: duplicate entry for column 'x2' in row 'OBJ'"),
+    (_edit("    RHS c1 1.0", "    RHS c1 1.0 c1 2.0"), "line 11: duplicate rhs for row 'c1'"),
+    (_edit(" BV BND x2", " BV BND zz"), "line 14: unknown column 'zz'"),
+    (_edit(" BV BND x2", " FX BND x2"), "line 14: bound type FX needs a value"),
+    (_edit(" BV BND x2", " PL BND x2"), "line 14: unsupported bound type 'PL'"),
+    (_edit("    x2 c1 1.0", "    x2 c1 1.0x"), "line 8: bad numeric value '1.0x'"),
+    ("NAME X\n L c1\nENDATA\n", "line 2: data line before any section header"),
+    ("NAME X\nROWS\n N OBJ\nSOS\nENDATA\n", "line 4: unsupported section SOS"),
+    ("NAME X\nOBJSENSE\n    MAX\nENDATA\n", "line 2: unsupported section OBJSENSE"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_mps(text)
+    assert str(exc.value) == message
+
+
+BOUNDS_MPS = """\
+NAME B
+ROWS
+ N COST
+ N FREE
+ G g1
+COLUMNS
+    u COST 1.5 g1 1.0
+    l g1 2.0 FREE 7.0
+    f g1 0.0
+    b COST -1.0
+    m g1 -1.0
+    fm g1 1.0
+RHS
+    RHS COST 9.0 g1 -3.0
+    RHS FREE 4.0
+BOUNDS
+ UP BND u 4.0
+ LO BND l -2.5
+ FX BND f 3.0
+ BV BND b
+ MI BND m
+ FX BND fm 5.0
+ MI BND fm
+ENDATA
+"""
+
+
+def test_parse_bounds_objective_and_free_rows():
+    # An RHS on an N row and the entries of a second N row are ignored;
+    # zero entries are dropped; MI after FX keeps the upper bound.
+    inst = parse_mps(BOUNDS_MPS)
+    assert inst == MilpInstance(
+        [Variable("u", 0.0, 4.0, False, 1.5),
+         Variable("l", -2.5, math.inf),
+         Variable("f", 3.0, 3.0),
+         Variable("b", 0.0, 1.0, True, -1.0),
+         Variable("m", -math.inf, math.inf),
+         Variable("fm", -math.inf, 5.0)],
+        [Row("g1", [(0, 1.0), (1, 2.0), (4, -1.0), (5, 1.0)], ">=", -3.0)],
+        name="B", objective_name="COST")
