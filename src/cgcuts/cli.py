@@ -13,7 +13,6 @@ import argparse
 import sys
 import time
 
-from . import oracle
 from .bk import BkParams
 from .cgraph import build
 from .model import MilpInstance, ParseError, Row, parse_mps, read_point, write_mps
@@ -130,6 +129,8 @@ def cmd_separate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import oracle  # brute force, so only this command imports it
+
     instance = _load_model(args.model)
     if args.oracle_command == "probe":
         result = oracle.probe_pairs(instance)

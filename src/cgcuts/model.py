@@ -10,14 +10,17 @@ Supported MPS subset: sections NAME, ROWS (N/L/G/E), COLUMNS (with
 BV, MI) and ENDATA.  Section headers start in column one, data lines are
 indented; tokens are whitespace-separated, so fixed- and free-format files
 both parse.  RANGES and SOS are rejected.  Default bounds are [0, +inf)
-for every column, including integer columns.
+for every column, including integer columns.  ``parse_mps`` and
+``read_point`` take the file's text; the parser keeps one record per row
+(sense, entries by column index, rhs) and one per column (index,
+integrality, bounds), so a duplicate entry is a key already in its row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, TextIO
+from typing import Iterable
 
 # Absolute tolerance for coefficient/rhs comparisons ("a + b > rhs" means
 # a + b > rhs + EPS).
@@ -104,6 +107,8 @@ class MilpInstance:
         for r in self.rows:
             if r.name in row_names:
                 raise ValueError(f"duplicate row name {r.name}")
+            if r.name == self.objective_name:
+                raise ValueError(f"row {r.name} has the objective's name")
             row_names.add(r.name)
             for j, _ in r.coeffs:
                 if not 0 <= j < n:
@@ -244,31 +249,23 @@ def literals_to_row(terms: Iterable[tuple[int, float]], rhs: float,
 _SECTIONS = {"NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA", "OBJSENSE", "SOS"}
 
 
-def parse_mps(source: str | TextIO) -> MilpInstance:
+def parse_mps(text: str) -> MilpInstance:
     """Parse the supported MPS subset into an instance.
 
+    The objective is the first N row; without one it is named ``OBJ``, or
+    the smallest free ``OBJ<k>`` (k >= 2) when a row is already named so.
     Errors (unknown references, duplicate names, malformed sections) raise
     :class:`ParseError` naming the line.
     """
-    text = source if isinstance(source, str) else source.read()
     lines = text.splitlines()
-
     section = None
     name = ""
     objective_name: str | None = None
-    free_rows: set[str] = set()
-    row_names: list[str] = []
-    row_sense: dict[str, str] = {}
-    row_coeffs: dict[str, list[tuple[int, float]]] = {}
-    row_rhs: dict[str, float] = {}
-    col_names: list[str] = []
-    col_index: dict[str, int] = {}
-    col_integer: list[bool] = []
-    col_obj: list[float] = []
-    col_bounds: list[list[float]] = []
-    seen_entries: set[tuple[str, str]] = set()
+    # row name -> [sense (None for an N row), {column index: value}, rhs or None]
+    rows: dict[str, list] = {}
+    # column name -> [index, integer, lower, upper]
+    cols: dict[str, list] = {}
     integer_mode = False
-    saw_endata = False
 
     def number(tok: str, lineno: int) -> float:
         try:
@@ -279,21 +276,11 @@ def parse_mps(source: str | TextIO) -> MilpInstance:
             raise ParseError(lineno, f"NaN value {tok!r}")
         return value
 
-    def declare_col(cname: str) -> int:
-        if cname in col_index:
-            return col_index[cname]
-        col_index[cname] = len(col_names)
-        col_names.append(cname)
-        col_integer.append(integer_mode)
-        col_obj.append(0.0)
-        col_bounds.append([0.0, math.inf])
-        return col_index[cname]
-
     for lineno, raw in enumerate(lines, 1):
         if not raw.strip() or raw.lstrip().startswith("*"):
             continue
+        tokens = raw.split()
         if not raw[0].isspace():
-            tokens = raw.split()
             head = tokens[0].upper()
             if head not in _SECTIONS:
                 raise ParseError(lineno, f"unknown section header {tokens[0]!r}")
@@ -301,30 +288,21 @@ def parse_mps(source: str | TextIO) -> MilpInstance:
                 raise ParseError(lineno, f"unsupported section {head}")
             if head == "NAME":
                 name = tokens[1] if len(tokens) > 1 else ""
-                continue
-            if head == "ENDATA":
-                saw_endata = True
+            elif head == "ENDATA":
                 break
-            section = head
-            continue
-
-        tokens = raw.split()
-        if section == "ROWS":
+            else:
+                section = head
+        elif section == "ROWS":
             if len(tokens) != 2:
                 raise ParseError(lineno, "ROWS line must be '<sense> <name>'")
             sense, rname = tokens[0].upper(), tokens[1]
-            if rname in row_sense or rname in free_rows:
+            if rname in rows:
                 raise ParseError(lineno, f"duplicate row name {rname!r}")
-            if sense == "N":
-                if objective_name is None:
-                    objective_name = rname
-                free_rows.add(rname)
-            elif sense in _MPS_SENSE:
-                row_names.append(rname)
-                row_sense[rname] = _MPS_SENSE[sense]
-                row_coeffs[rname] = []
-            else:
+            if sense != "N" and sense not in _MPS_SENSE:
                 raise ParseError(lineno, f"unknown row sense {tokens[0]!r}")
+            if sense == "N" and objective_name is None:
+                objective_name = rname
+            rows[rname] = [_MPS_SENSE.get(sense), {}, None]
         elif section == "COLUMNS":
             if "'MARKER'" in tokens:
                 if "'INTORG'" in tokens:
@@ -336,76 +314,66 @@ def parse_mps(source: str | TextIO) -> MilpInstance:
                 continue
             if len(tokens) not in (3, 5):
                 raise ParseError(lineno, "COLUMNS line must be '<col> (<row> <value>)+'")
-            j = declare_col(tokens[0])
+            j = cols.setdefault(tokens[0], [len(cols), integer_mode, 0.0, math.inf])[0]
             for rname, vtok in zip(tokens[1::2], tokens[2::2]):
                 value = number(vtok, lineno)
-                if (tokens[0], rname) in seen_entries:
+                if rname not in rows:
+                    raise ParseError(lineno, f"unknown row {rname!r}")
+                entries = rows[rname][1]
+                if j in entries:
                     raise ParseError(lineno, f"duplicate entry for column {tokens[0]!r} "
                                              f"in row {rname!r}")
-                seen_entries.add((tokens[0], rname))
-                if rname in free_rows:
-                    if rname == objective_name:
-                        col_obj[j] = value
-                elif rname in row_coeffs:
-                    if value != 0.0:
-                        row_coeffs[rname].append((j, value))
-                else:
-                    raise ParseError(lineno, f"unknown row {rname!r}")
+                entries[j] = value
         elif section == "RHS":
             if len(tokens) not in (3, 5):
                 raise ParseError(lineno, "RHS line must be '<set> (<row> <value>)+'")
             for rname, vtok in zip(tokens[1::2], tokens[2::2]):
                 value = number(vtok, lineno)
-                if rname in free_rows:
-                    continue
-                if rname not in row_sense:
+                if rname not in rows:
                     raise ParseError(lineno, f"unknown row {rname!r}")
-                if rname in row_rhs:
+                row = rows[rname]
+                if row[0] is None:
+                    continue
+                if row[2] is not None:
                     raise ParseError(lineno, f"duplicate rhs for row {rname!r}")
-                row_rhs[rname] = value
+                row[2] = value
         elif section == "BOUNDS":
             if len(tokens) < 3:
                 raise ParseError(lineno, "BOUNDS line must be '<type> <set> <col> [value]'")
             btype = tokens[0].upper()
-            cname = tokens[2]
-            if cname not in col_index:
-                raise ParseError(lineno, f"unknown column {cname!r}")
-            j = col_index[cname]
+            if tokens[2] not in cols:
+                raise ParseError(lineno, f"unknown column {tokens[2]!r}")
+            col = cols[tokens[2]]
             if btype in ("UP", "LO", "FX"):
                 if len(tokens) < 4:
                     raise ParseError(lineno, f"bound type {btype} needs a value")
                 value = number(tokens[3], lineno)
-                if btype == "UP":
-                    col_bounds[j][1] = value
-                elif btype == "LO":
-                    col_bounds[j][0] = value
-                else:
-                    col_bounds[j] = [value, value]
+                if btype != "UP":
+                    col[2] = value
+                if btype != "LO":
+                    col[3] = value
             elif btype == "BV":
-                col_bounds[j] = [0.0, 1.0]
-                col_integer[j] = True
+                col[1:] = [True, 0.0, 1.0]
             elif btype == "MI":
-                col_bounds[j][0] = -math.inf
+                col[2] = -math.inf
             else:
                 raise ParseError(lineno, f"unsupported bound type {tokens[0]!r}")
-        elif section is None:
-            raise ParseError(lineno, "data line before any section header")
         else:
-            raise ParseError(lineno, f"data line in unhandled section {section}")
-
-    if not saw_endata:
+            raise ParseError(lineno, "data line before any section header")
+    else:
         raise ParseError(len(lines) + 1, "missing ENDATA")
 
-    variables = [
-        Variable(cname, col_bounds[j][0], col_bounds[j][1], col_integer[j], col_obj[j])
-        for j, cname in enumerate(col_names)
-    ]
-    rows = [
-        Row(rname, row_coeffs[rname], row_sense[rname], row_rhs.get(rname, 0.0))
-        for rname in row_names
-    ]
-    return MilpInstance(variables, rows, name=name,
-                        objective_name=objective_name or "OBJ")
+    objective = rows[objective_name][1] if objective_name else {}
+    if objective_name is None:
+        objective_name, k = "OBJ", 2
+        while objective_name in rows:
+            objective_name, k = f"OBJ{k}", k + 1
+    variables = [Variable(cname, lower, upper, integer, objective.get(j, 0.0))
+                 for cname, (j, integer, lower, upper) in cols.items()]
+    constraints = [Row(rname, [(j, a) for j, a in entries.items() if a != 0.0], sense,
+                       0.0 if rhs is None else rhs)
+                   for rname, (sense, entries, rhs) in rows.items() if sense is not None]
+    return MilpInstance(variables, constraints, name=name, objective_name=objective_name)
 
 
 def write_mps(instance: MilpInstance) -> str:
@@ -465,14 +433,13 @@ def write_mps(instance: MilpInstance) -> str:
     return "\n".join(out) + "\n"
 
 
-def read_point(source: str | TextIO, instance: MilpInstance) -> FractionalPoint:
+def read_point(text: str, instance: MilpInstance) -> FractionalPoint:
     """Read a point file: ``name value [reduced_cost]`` lines, ``#`` comments.
 
-    Binary values must lie in [0, 1] (tiny float slop is clamped); entries
-    for non-binary variables are ignored; unknown names and NaN values or
-    reduced costs are errors.
+    Binary values must lie in [0, 1] (tiny float slop is clamped by
+    :class:`FractionalPoint`); entries for non-binary variables are ignored;
+    unknown names and NaN values or reduced costs are errors.
     """
-    text = source if isinstance(source, str) else source.read()
     values: dict[int, float] = {}
     rcs: dict[int, float] = {}
     seen: set[str] = set()
@@ -502,7 +469,7 @@ def read_point(source: str | TextIO, instance: MilpInstance) -> FractionalPoint:
             continue
         if value < -EPS or value > 1.0 + EPS:
             raise ParseError(lineno, f"value {value} for binary {vname!r} outside [0, 1]")
-        values[j] = min(1.0, max(0.0, value))
+        values[j] = value
         if rc is not None:
             rcs[j] = rc
     return FractionalPoint(values, rcs or None)

@@ -348,3 +348,23 @@ def test_cli_import_skips_numpy(triangle):
     proc = _run_python("-m", "cgcuts.cli", "oracle", "feasible", triangle[0])
     assert proc.returncode == 0
     assert sorted(proc.stdout.splitlines()) == ["000", "001", "010", "100"]
+
+
+def test_cli_import_skips_oracle():
+    proc = _run_python("-c", "import sys, cgcuts.cli; print('cgcuts.oracle' in sys.modules)")
+    assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
+def test_strengthen_output_parses_when_a_row_is_named_obj(tmp_path, capsys):
+    # No N row, and constraints named OBJ and OBJ2: the objective is OBJ3.
+    mpath, out = tmp_path / "m.mps", tmp_path / "o.mps"
+    mpath.write_text("NAME M\nROWS\n L OBJ\n G OBJ2\nCOLUMNS\n    x OBJ 1.0 OBJ2 1.0\n"
+                     "    y OBJ 1.0\nRHS\n    RHS OBJ 1.0\nBOUNDS\n BV BND x\n BV BND y\n"
+                     "ENDATA\n")
+    assert main(["strengthen", str(mpath), "--out", str(out)]) == 0
+    assert main(["stats", str(out)]) == 0
+    capsys.readouterr()
+    inst = parse_mps(out.read_text())
+    assert inst.objective_name == "OBJ3"
+    assert [r.name for r in inst.rows] == ["OBJ", "OBJ2"]
+    assert inst == parse_mps(mpath.read_text())

@@ -363,3 +363,21 @@ def test_parse_bounds_objective_and_free_rows():
          Variable("fm", -math.inf, 5.0)],
         [Row("g1", [(0, 1.0), (1, 2.0), (4, -1.0), (5, 1.0)], ">=", -3.0)],
         name="B", objective_name="COST")
+
+
+def test_missing_objective_takes_a_free_name():
+    rows = " L c1\n"
+    for taken, expected in ((" L OBJ\n", "OBJ2"), (" L OBJ\n L OBJ2\n", "OBJ3"),
+                            (" L OBJ3\n", "OBJ"), (" L OBJ\n L OBJ3\n", "OBJ2")):
+        text = MINIMAL_MPS.replace(" N OBJ\n L c1\n", rows + taken)
+        inst = parse_mps(text)
+        assert inst.objective_name == expected
+        assert parse_mps(write_mps(inst)) == inst
+
+
+def test_instance_rejects_row_named_like_objective():
+    with pytest.raises(ValueError, match="objective"):
+        MilpInstance(gen.binary_vars(1), [Row("OBJ", [(0, 1.0)], "<=", 1.0)])
+    with pytest.raises(ValueError, match="objective"):
+        MilpInstance(gen.binary_vars(1), [Row("c", [(0, 1.0)], "<=", 1.0)],
+                     objective_name="c")
