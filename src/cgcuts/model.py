@@ -13,7 +13,8 @@ both parse.  RANGES and SOS are rejected.  Default bounds are [0, +inf)
 for every column, including integer columns.  ``parse_mps`` and
 ``read_point`` take the file's text; the parser keeps one record per row
 (sense, entries by column index, rhs) and one per column (index,
-integrality, bounds), so a duplicate entry is a key already in its row.
+integrality, bounds, last BOUNDS line), so a duplicate entry is a key
+already in its row and crossing bounds name the line that set them last.
 """
 
 from __future__ import annotations
@@ -254,8 +255,10 @@ def parse_mps(text: str) -> MilpInstance:
 
     The objective is the first N row; without one it is named ``OBJ``, or
     the smallest free ``OBJ<k>`` (k >= 2) when a row is already named so.
-    Errors (unknown references, duplicate names, malformed sections) raise
-    :class:`ParseError` naming the line.
+    Errors (unknown references, duplicate names, malformed sections, an
+    infinite coefficient in a constraint row, bounds that still cross after
+    the last BOUNDS line) raise :class:`ParseError` naming the line.  An
+    infinite objective coefficient or rhs is accepted.
     """
     lines = text.splitlines()
     section = None
@@ -263,7 +266,7 @@ def parse_mps(text: str) -> MilpInstance:
     objective_name: str | None = None
     # row name -> [sense (None for an N row), {column index: value}, rhs or None]
     rows: dict[str, list] = {}
-    # column name -> [index, integer, lower, upper]
+    # column name -> [index, integer, lower, upper, last BOUNDS line or 0]
     cols: dict[str, list] = {}
     integer_mode = False
 
@@ -314,12 +317,15 @@ def parse_mps(text: str) -> MilpInstance:
                 continue
             if len(tokens) not in (3, 5):
                 raise ParseError(lineno, "COLUMNS line must be '<col> (<row> <value>)+'")
-            j = cols.setdefault(tokens[0], [len(cols), integer_mode, 0.0, math.inf])[0]
+            j = cols.setdefault(tokens[0], [len(cols), integer_mode, 0.0, math.inf, 0])[0]
             for rname, vtok in zip(tokens[1::2], tokens[2::2]):
                 value = number(vtok, lineno)
                 if rname not in rows:
                     raise ParseError(lineno, f"unknown row {rname!r}")
-                entries = rows[rname][1]
+                sense, entries, _ = rows[rname]
+                if sense is not None and math.isinf(value):
+                    raise ParseError(lineno, f"infinite coefficient {vtok!r} for column "
+                                             f"{tokens[0]!r} in row {rname!r}")
                 if j in entries:
                     raise ParseError(lineno, f"duplicate entry for column {tokens[0]!r} "
                                              f"in row {rname!r}")
@@ -344,6 +350,7 @@ def parse_mps(text: str) -> MilpInstance:
             if tokens[2] not in cols:
                 raise ParseError(lineno, f"unknown column {tokens[2]!r}")
             col = cols[tokens[2]]
+            col[4] = lineno
             if btype in ("UP", "LO", "FX"):
                 if len(tokens) < 4:
                     raise ParseError(lineno, f"bound type {btype} needs a value")
@@ -353,7 +360,7 @@ def parse_mps(text: str) -> MilpInstance:
                 if btype != "LO":
                     col[3] = value
             elif btype == "BV":
-                col[1:] = [True, 0.0, 1.0]
+                col[1:4] = [True, 0.0, 1.0]
             elif btype == "MI":
                 col[2] = -math.inf
             else:
@@ -362,6 +369,10 @@ def parse_mps(text: str) -> MilpInstance:
             raise ParseError(lineno, "data line before any section header")
     else:
         raise ParseError(len(lines) + 1, "missing ENDATA")
+    for cname, (_, _, lower, upper, lineno) in cols.items():
+        if lower > upper:
+            raise ParseError(lineno, f"column {cname!r}: lower bound {lower} "
+                                     f"> upper bound {upper}")
 
     objective = rows[objective_name][1] if objective_name else {}
     if objective_name is None:
@@ -369,7 +380,7 @@ def parse_mps(text: str) -> MilpInstance:
         while objective_name in rows:
             objective_name, k = f"OBJ{k}", k + 1
     variables = [Variable(cname, lower, upper, integer, objective.get(j, 0.0))
-                 for cname, (j, integer, lower, upper) in cols.items()]
+                 for cname, (j, integer, lower, upper, _) in cols.items()]
     constraints = [Row(rname, [(j, a) for j, a in entries.items() if a != 0.0], sense,
                        0.0 if rhs is None else rhs)
                    for rname, (sense, entries, rhs) in rows.items() if sense is not None]

@@ -17,9 +17,17 @@ relaxation is strict), so every other search settles the same nodes in
 the same order with the same predecessors.  A dead end's own search
 leaves by its one arc and stops at the opposite copy of its neighbor,
 from which the forced last arc closes the path; a lone edge, two dead
-ends joined, holds no cycle and is not searched.  Each kept cycle is
-lifted by a clique of literals conflicting with the whole cycle, turning
-it into an odd wheel.
+ends joined, holds no cycle and is not searched.
+
+A dead end's search is also skipped when it would mirror a search already
+run: its arc weighs exactly 0 and its neighbor b was searched earlier with
+no tie between the two copies of a literal (see ``_shortest_path``).  From
+``2b + 1`` on, that search is b's own search with the sides swapped, so it
+projects to the same closed walk and finds the same cycles.  The weight is
+0 for every dead end built here (its one neighbor is its complement, or
+the weight is clamped), but the argument needs it, so it is checked.  Each
+kept cycle is lifted by a clique of literals conflicting with the whole
+cycle, turning it into an odd wheel.
 """
 
 from __future__ import annotations
@@ -98,13 +106,28 @@ def build_auxiliary(g: ConflictGraph, point: FractionalPoint) -> AuxiliaryGraph:
 
 
 def _shortest_path(adj: list[list[tuple[int, float]]], source: int,
-                   target: int) -> list[int] | None:
+                   target: int) -> tuple[list[int] | None, bool]:
+    """Dijkstra from ``source``, stopping when ``target`` is popped.
+
+    Returns the path (None when ``target`` is unreachable) and whether the
+    search was clean: no relaxation set ``dist[v]`` to the distance that
+    ``v``'s opposite copy ``v ^ 1`` already held.  Swapping sides,
+    ``v -> v ^ 1``, maps the double cover onto itself, arc weights and
+    arc-list order included, and keeps every heap comparison between
+    entries but one: ``(d, v)`` against ``(d, v ^ 1)``.  Such a tie between
+    two live entries is what the flag records (a tie against a stale entry
+    only moves a no-op pop), so a clean search from ``2b`` to ``2b + 1``
+    is the mirror image of the search from ``2b + 1`` to ``2b``: that
+    search returns ``[v ^ 1 for v in path]``.  An unreachable target is
+    clean, since reachability is the same on both sides.
+    """
     push, pop = heapq.heappush, heapq.heappop
     inf = float("inf")
     dist = [inf] * len(adj)
     prev = [-1] * len(adj)
     dist[source] = 0.0
     heap = [(0.0, source)]
+    clean = True
     while heap:
         d, u = pop(heap)
         if u == target:
@@ -114,16 +137,18 @@ def _shortest_path(adj: list[list[tuple[int, float]]], source: int,
         for v, w in adj[u]:
             nd = d + w
             if nd < dist[v]:
+                if nd == dist[v ^ 1]:
+                    clean = False
                 dist[v] = nd
                 prev[v] = u
                 push(heap, (nd, v))
     if dist[target] == inf:
-        return None
+        return None, True
     path = [target]
     while path[-1] != source:
         path.append(prev[path[-1]])
     path.reverse()
-    return path
+    return path, clean
 
 
 def _walk_cycles(walk: list[int]) -> list[list[int]]:
@@ -169,11 +194,12 @@ def separate_odd_cycles(g: ConflictGraph, point: FractionalPoint) -> list[OddCyc
     """Return violated odd-cycle (wheel) cuts, best first.
 
     One shortest-path query per active literal with an auxiliary edge
-    (lone edges excepted), on the double cover less its arcs into dead
-    ends; a recovered cycle is kept when it has odd length >= 5 and the
-    edges of its induced subgraph (chords included) cost less than 0.5.
-    Those costs are the clamped weights of the auxiliary arcs.  Cycles are
-    deduplicated on their canonical rotation/reflection.
+    (lone edges and mirrored dead ends excepted), on the double cover less
+    its arcs into dead ends; a recovered cycle is kept when it has odd
+    length >= 5 and the edges of its induced subgraph (chords included)
+    cost less than 0.5.  Those costs are the clamped weights of the
+    auxiliary arcs.  Cycles are deduplicated on their canonical
+    rotation/reflection.
     """
     value = point.literal_values(g.n_vars)
     aux = build_auxiliary(g, point)
@@ -183,6 +209,8 @@ def separate_odd_cycles(g: ConflictGraph, point: FractionalPoint) -> list[OddCyc
     # Per literal, its side-0 arcs: edge weight keyed by the side-1 copy.
     weight = [dict(arcs) for arcs in adj[::2]]
     kept: dict[tuple[int, ...], None] = {}
+    # Per literal, whether its own search ran and was clean.
+    clean = [False] * len(lits)
     for local in range(len(lits)):
         arcs = adj[2 * local]
         if not arcs:
@@ -190,14 +218,17 @@ def separate_odd_cycles(g: ConflictGraph, point: FractionalPoint) -> list[OddCyc
         if dead[local]:
             # The path leaves by the one arc and must return by its twin,
             # from the other copy of the same neighbor.
-            last = arcs[0][0] ^ 1
+            [(first, w)] = arcs
+            last = first ^ 1
             if dead[last >> 1]:
                 continue  # a lone edge holds no cycle
-            path = _shortest_path(live, 2 * local, last)
+            if w == 0.0 and clean[last >> 1]:
+                continue  # the mirror image of the neighbor's search
+            path, _ = _shortest_path(live, 2 * local, last)
             if path is not None:
                 path.append(2 * local + 1)
         else:
-            path = _shortest_path(live, 2 * local, 2 * local + 1)
+            path, clean[local] = _shortest_path(live, 2 * local, 2 * local + 1)
         if path is None:
             continue
         assert (len(path) - 1) % 2 == 1, "bipartite path must have odd length"

@@ -199,6 +199,25 @@ def test_nan_in_model_exits_2(tmp_path, capsys):
         assert captured.err == "error: line 12: NaN value 'nan'\n"
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("    x2         t          1.0", "    x2         t          inf",
+     "line 8: infinite coefficient 'inf' for column 'x2' in row 't'"),
+    (" BV BND        x3", " UP BND x3 -1",
+     "line 16: column 'x3': lower bound 0.0 > upper bound -1.0"),
+], ids=["inf-coefficient", "crossing-bounds"])
+def test_invalid_model_exits_2_naming_the_line(tmp_path, capsys, old, new, message):
+    # Both errors once came from Variable and Row after the whole file was
+    # read, with no line number.
+    text = write_mps(gen.triangle_instance())
+    assert old in text
+    mpath = tmp_path / "bad.mps"
+    mpath.write_text(text.replace(old, new))
+    assert main(["stats", str(mpath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("min_viol, message", [
     ("nan", "error: min_viol must be finite and >= 0, not nan"),
     ("inf", "error: min_viol must be finite and >= 0, not inf"),

@@ -312,6 +312,14 @@ _INTEND = "    MARKER                 'MARKER'                 'INTEND'"
     (_edit(" BV BND x2", " FX BND x2"), "line 14: bound type FX needs a value"),
     (_edit(" BV BND x2", " PL BND x2"), "line 14: unsupported bound type 'PL'"),
     (_edit("    x2 c1 1.0", "    x2 c1 1.0x"), "line 8: bad numeric value '1.0x'"),
+    (_edit("    x2 c1 1.0", "    x2 c1 inf"),
+     "line 8: infinite coefficient 'inf' for column 'x2' in row 'c1'"),
+    (_edit("    x2 c1 1.0", "    x2 OBJ 1.0 c1 -inf"),
+     "line 8: infinite coefficient '-inf' for column 'x2' in row 'c1'"),
+    (_edit(" BV BND x2", " UP BND x2 -1"),
+     "line 14: column 'x2': lower bound 0.0 > upper bound -1.0"),
+    (_edit(" BV BND x2", " UP BND x2 -1\n BV BND x1\n LO BND x2 0.5"),
+     "line 16: column 'x2': lower bound 0.5 > upper bound -1.0"),
     ("NAME X\n L c1\nENDATA\n", "line 2: data line before any section header"),
     ("NAME X\nROWS\n N OBJ\nSOS\nENDATA\n", "line 4: unsupported section SOS"),
     ("NAME X\nOBJSENSE\n    MAX\nENDATA\n", "line 2: unsupported section OBJSENSE"),
@@ -363,6 +371,14 @@ def test_parse_bounds_objective_and_free_rows():
          Variable("fm", -math.inf, 5.0)],
         [Row("g1", [(0, 1.0), (1, 2.0), (4, -1.0), (5, 1.0)], ">=", -3.0)],
         name="B", objective_name="COST")
+
+
+def test_parse_accepts_infinite_objective_and_uncrossed_bounds():
+    # Bounds may cross between BOUNDS lines; only the final pair must not.
+    text = _edit("    x2 c1 1.0", "    x2 OBJ inf c1 1.0").replace(
+        " BV BND x2", " UP BND x2 -1\n LO BND x2 -2")
+    inst = parse_mps(text)
+    assert inst.variables[1] == Variable("x2", -2.0, -1.0, True, math.inf)
 
 
 def test_missing_objective_takes_a_free_name():

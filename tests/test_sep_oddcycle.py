@@ -1,3 +1,5 @@
+import heapq
+import math
 import random
 from collections import Counter
 
@@ -13,6 +15,7 @@ from cgcuts import (
     oddwheel_to_row,
     separate_odd_cycles,
 )
+from cgcuts import sep_oddcycle
 from cgcuts.sep_clique import FRAC_EPS
 from cgcuts.sep_oddcycle import (
     AuxiliaryGraph,
@@ -388,6 +391,34 @@ def _reference_auxiliary(g, point):
     return AuxiliaryGraph(nodes, adj, clamped)
 
 
+def _reference_shortest_path(adj, source, target):
+    """Dijkstra from ``source`` to ``target`` with ``(dist, node)`` heap
+    entries, strict relaxation and a stop when the target is popped: the
+    separator's search without its tie flag, so that the reference does
+    not call the code it checks."""
+    dist = [math.inf] * len(adj)
+    prev = [-1] * len(adj)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u == target:
+            break
+        if d > dist[u]:
+            continue
+        for v, w in adj[u]:
+            if d + w < dist[v]:
+                dist[v] = d + w
+                prev[v] = u
+                heapq.heappush(heap, (d + w, v))
+    if dist[target] == math.inf:
+        return None
+    path = [target]
+    while path[-1] != source:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
 def _reference_separate_odd_cycles(g, point):
     """The search without dead-end pruning: every literal with an
     auxiliary edge is searched from on the full double cover, and chord
@@ -399,7 +430,7 @@ def _reference_separate_odd_cycles(g, point):
     for local in range(len(aux.nodes)):
         if not aux.adj[2 * local]:
             continue
-        path = _shortest_path(aux.adj, 2 * local, 2 * local + 1)
+        path = _reference_shortest_path(aux.adj, 2 * local, 2 * local + 1)
         if path is None:
             continue
         walk = [aux.nodes[a >> 1] for a in path]
@@ -438,23 +469,84 @@ def _exactness_cases():
         yield f"random cycle draw {draw}", build(inst), point
 
 
-def test_pruned_search_matches_reference_pipeline():
+def _record_searches(monkeypatch):
+    """Replace the separator's search by one that appends each source."""
+    sources = []
+    search = sep_oddcycle._shortest_path
+
+    def recording(adj, source, target):
+        sources.append(source)
+        return search(adj, source, target)
+
+    monkeypatch.setattr(sep_oddcycle, "_shortest_path", recording)
+    return sources
+
+
+def test_pruned_search_matches_reference_pipeline(monkeypatch):
+    sources = _record_searches(monkeypatch)
     covered = Counter()
     for case, g, point in _exactness_cases():
         ref, found = _reference_separate_odd_cycles(g, point)
+        sources.clear()
         assert _cut_list(separate_odd_cycles(g, point)) == _cut_list(ref), case
+        searched = {s >> 1 for s in sources}
         aux = _reference_auxiliary(g, point)
-        dead = {aux.nodes[i]: aux.nodes[aux.adj[2 * i][0][0] >> 1]
-                for i in range(len(aux.nodes)) if len(aux.adj[2 * i]) == 1}
-        covered["dead-end sources"] += sum(1 for b in dead.values() if b not in dead)
-        covered["lone edges"] += sum(1 for b in dead.values() if b in dead)
+        # dead end -> its one arc, by local index
+        dead = {i: aux.adj[2 * i][0] for i in range(len(aux.nodes)) if len(aux.adj[2 * i]) == 1}
+        for a, (first, w) in dead.items():
+            b = first >> 1
+            if b in dead:
+                covered["lone edges"] += 1
+                continue
+            covered["dead-end sources"] += 1
+            mirrored = w == 0.0 and b < a
+            # Only a zero-weight arc to a neighbor searched earlier may skip.
+            assert a in searched or mirrored, case
+            if mirrored:
+                covered["dead ends blocked by a tie" if a in searched
+                        else "mirrored dead ends skipped"] += 1
         covered["cuts"] += len(ref)
+        dead_lits = {aux.nodes[i] for i in dead}
         covered["cuts only from dead ends"] += sum(
-            1 for sources in found.values() if all(v in dead for v in sources))
+            1 for lits in found.values() if all(v in dead_lits for v in lits))
     # Seeds 278 and 352 hold a cycle that only dead-end sources find.
     floors = {"dead-end sources": 1000, "lone edges": 50, "cuts": 500,
-              "cuts only from dead ends": 2}
+              "cuts only from dead ends": 2, "mirrored dead ends skipped": 1500,
+              "dead ends blocked by a tie": 1500}
     assert all(covered[k] >= floor for k, floor in floors.items()), covered
+
+
+def test_clean_search_is_mirrored_from_the_other_copy():
+    covered = Counter()
+    for case, g, point in _exactness_cases():
+        aux = build_auxiliary(g, point)
+        dead = [len(aux.adj[2 * i]) == 1 for i in range(len(aux.nodes))]
+        live = [[arc for arc in arcs if not dead[arc[0] >> 1]] for arcs in aux.adj]
+        for b in range(len(aux.nodes)):
+            if dead[b] or not aux.adj[2 * b]:
+                continue
+            path, clean = _shortest_path(live, 2 * b, 2 * b + 1)
+            if not clean:
+                covered["ties"] += 1
+            elif path is None:
+                covered["unreachable"] += 1
+            else:
+                mirror = _shortest_path(live, 2 * b + 1, 2 * b)
+                assert mirror == ([v ^ 1 for v in path], True), case
+                covered["mirrored"] += 1
+    assert covered["mirrored"] >= 2000 and covered["ties"] >= 3000, covered
+
+
+def test_five_cycle_searches_once_per_mirror_pair(monkeypatch):
+    g = build(gen.five_cycle_instance())
+    point = FractionalPoint({j: 0.45 for j in range(5)})
+    ref, _ = _reference_separate_odd_cycles(g, point)
+    sources = _record_searches(monkeypatch)
+    cuts = separate_odd_cycles(g, point)
+    # x1..x5 are searched; each complement is a dead end at weight 0.
+    assert sources == [0, 2, 4, 6, 8]
+    assert len(cuts) == 1 and _cut_list(cuts) == _cut_list(ref)
+    assert cuts[0].violation == pytest.approx(0.25)
 
 
 def test_auxiliary_matches_neighbors_and_leaves_cache_empty():
