@@ -5,7 +5,8 @@ rows via clique extension, and separates clique and lifted odd-cycle
 cutting planes against externally supplied fractional solutions.
 """
 
-from .bk import BkParams, BkResult, WeightedSubgraph, find_cliques
+import importlib
+
 from .cgraph import (
     CliqueStore,
     ConflictGraph,
@@ -29,14 +30,38 @@ from .model import (
     write_mps,
 )
 from .presolve import StrengthenReport, extend_clique, strengthen
-from .sep_clique import CliqueCut, cut_to_row, extend_cut, separate_cliques
-from .sep_oddcycle import (
-    OddCycleCut,
-    build_auxiliary,
-    lift_center,
-    oddwheel_to_row,
-    separate_odd_cycles,
-)
+
+# The separators and Bron-Kerbosch load on first use of one of their names
+# (PEP 562), so ``stats`` and ``strengthen`` never import them.
+_LAZY = {
+    "BkParams": "bk",
+    "BkResult": "bk",
+    "WeightedSubgraph": "bk",
+    "find_cliques": "bk",
+    "CliqueCut": "sep_clique",
+    "cut_to_row": "sep_clique",
+    "extend_cut": "sep_clique",
+    "separate_cliques": "sep_clique",
+    "OddCycleCut": "sep_oddcycle",
+    "build_auxiliary": "sep_oddcycle",
+    "lift_center": "sep_oddcycle",
+    "oddwheel_to_row": "sep_oddcycle",
+    "separate_odd_cycles": "sep_oddcycle",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "BkParams",

@@ -13,12 +13,9 @@ import argparse
 import sys
 import time
 
-from .bk import BkParams
 from .cgraph import build
 from .model import MilpInstance, ParseError, Row, parse_mps, read_point, write_mps
 from .presolve import strengthen
-from .sep_clique import separate_cliques, cut_to_row
-from .sep_oddcycle import separate_odd_cycles, oddwheel_to_row
 
 
 def _load_model(path: str) -> MilpInstance:
@@ -99,6 +96,11 @@ def cmd_strengthen(args) -> int:
 
 
 def cmd_separate(args) -> int:
+    # Only this command runs the separators, so only it imports them.
+    from .bk import BkParams
+    from .sep_clique import cut_to_row, separate_cliques
+    from .sep_oddcycle import oddwheel_to_row, separate_odd_cycles
+
     instance = _load_model(args.model)
     g = build(instance, args.min_clq_size)
     with open(args.point, "r", encoding="utf-8") as f:

@@ -92,17 +92,26 @@ class Row:
 
 @dataclass
 class MilpInstance:
+    """Variables and rows of a model.
+
+    The name index and the binarity list (one ``Variable.is_binary`` per
+    column, read by ``is_binary`` and ``normalize_to_knapsack``) are taken
+    at construction; later edits to ``variables`` are not seen by either.
+    """
+
     variables: list[Variable]
     rows: list[Row]
     name: str = ""
     objective_name: str = "OBJ"
     _index: dict[str, int] = field(init=False, repr=False, compare=False, default_factory=dict)
+    _binary: list[bool] = field(init=False, repr=False, compare=False, default_factory=list)
 
     def __post_init__(self):
         for i, v in enumerate(self.variables):
             if v.name in self._index:
                 raise ValueError(f"duplicate variable name {v.name}")
             self._index[v.name] = i
+        self._binary = [v.is_binary for v in self.variables]
         row_names = set()
         n = len(self.variables)
         for r in self.rows:
@@ -123,10 +132,10 @@ class MilpInstance:
         return self._index[name]
 
     def is_binary(self, j: int) -> bool:
-        return self.variables[j].is_binary
+        return self._binary[j]
 
     def binary_indices(self) -> list[int]:
-        return [j for j, v in enumerate(self.variables) if v.is_binary]
+        return [j for j, b in enumerate(self._binary) if b]
 
     def node_name(self, node: int) -> str:
         """Literal label for dumps and cut files: ``name`` or ``!name``."""
@@ -151,7 +160,8 @@ def normalize_to_knapsack(row: Row, instance: MilpInstance) -> list[KnapsackRow]
     absolute coefficient, raising the rhs accordingly.  Rows touching any
     non-binary variable yield no knapsack rows (skip signal, not an error).
     """
-    if any(not instance.is_binary(j) for j, _ in row.coeffs):
+    binary = instance._binary
+    if not all(binary[j] for j, _ in row.coeffs):
         return []
     n = instance.n_vars
     if row.sense == SENSE_LE:

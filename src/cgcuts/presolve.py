@@ -88,6 +88,11 @@ def strengthen(instance: MilpInstance, g: ConflictGraph,
             eligible.append((ri, clique))
 
     alive = dict(eligible)
+    # A row inside an extension has its smallest literal there, so each row
+    # is filed under that literal and only the extension's files are read.
+    filed: dict[int, list[int]] = {}
+    for ri, clique in eligible:
+        filed.setdefault(min(clique), []).append(ri)
     extended: dict[int, frozenset[int]] = {}
     added: dict[int, int] = {}
     removed: list[int] = []
@@ -100,10 +105,12 @@ def strengthen(instance: MilpInstance, g: ConflictGraph,
         extended[ri] = ext
         added[ri] = len(ext) - len(clique)
         alive.pop(ri)
-        for rj in list(alive):
-            if alive[rj] <= ext:
-                alive.pop(rj)
-                removed.append(rj)
+        for lit in ext:
+            for rj in filed.get(lit, ()):
+                other = alive.get(rj)
+                if other is not None and other <= ext:
+                    alive.pop(rj)
+                    removed.append(rj)
 
     removed_set = set(removed)
     taken = {row.name for row in instance.rows} | {instance.objective_name}

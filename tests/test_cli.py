@@ -317,7 +317,7 @@ def test_unexpected_exception_exits_2(triangle, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("cgcuts.cli.separate_cliques", boom)
+    monkeypatch.setattr("cgcuts.sep_clique.separate_cliques", boom)
     mpath, ppath = triangle
     assert main(["separate", "clique", mpath, ppath]) == 2
     captured = capsys.readouterr()
@@ -372,6 +372,35 @@ def test_cli_import_skips_numpy(triangle):
 def test_cli_import_skips_oracle():
     proc = _run_python("-c", "import sys, cgcuts.cli; print('cgcuts.oracle' in sys.modules)")
     assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
+def test_cli_import_skips_separators():
+    names = ["cgcuts.bk", "cgcuts.sep_clique", "cgcuts.sep_oddcycle", "logging", "heapq"]
+    proc = _run_python("-c", f"import sys, cgcuts.cli; "
+                             f"print([m for m in {names!r} if m in sys.modules])")
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
+def test_package_namespace_loads_separators_on_demand():
+    proc = _run_python("-c", """if True:
+        import sys, cgcuts
+        lazy = ["cgcuts.bk", "cgcuts.sep_clique", "cgcuts.sep_oddcycle"]
+        assert not [m for m in lazy if m in sys.modules]
+        names = {}
+        exec("from cgcuts import *", names)
+        assert set(cgcuts.__all__) <= set(names), set(cgcuts.__all__) - set(names)
+        assert set(cgcuts.__all__) <= set(dir(cgcuts))
+        assert names["separate_cliques"] is sys.modules["cgcuts.sep_clique"].separate_cliques
+        assert names["BkParams"] is sys.modules["cgcuts.bk"].BkParams
+        try:
+            cgcuts.no_such_name
+        except AttributeError as exc:
+            assert "no_such_name" in str(exc)
+        else:
+            raise AssertionError("no AttributeError")
+        print("ok")
+    """)
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
 
 def test_strengthen_output_parses_when_a_row_is_named_obj(tmp_path, capsys):

@@ -163,6 +163,57 @@ def test_normalize_skips_non_binary():
     assert normalize_to_knapsack(inst.rows[0], inst) == []
 
 
+BOUND_FORMS_MPS = """\
+NAME FORMS
+ROWS
+ N OBJ
+ L rb
+ L ru
+ L rf0
+ L rf1
+ L ru2
+ L rc
+ L rmi
+COLUMNS
+    MARKER                 'MARKER'                 'INTORG'
+    b rb 1.0 ru 1.0
+    b rf0 1.0 rf1 1.0
+    b ru2 1.0 rc 1.0
+    b rmi 1.0
+    u ru 1.0
+    f0 rf0 1.0
+    f1 rf1 1.0
+    u2 ru2 1.0
+    mi rmi 1.0
+    MARKER                 'MARKER'                 'INTEND'
+    c rc 1.0
+RHS
+    RHS rb 1.0 ru 1.0
+BOUNDS
+ BV BND b
+ UP BND u 1
+ FX BND f0 0
+ FX BND f1 1
+ UP BND u2 2
+ UP BND c 1
+ MI BND mi
+ENDATA
+"""
+
+
+def test_binarity_per_bound_form():
+    # Only BV and an integer column with UP 1 are binary.
+    inst = parse_mps(BOUND_FORMS_MPS)
+    binary = {v.name for v in inst.variables if v.is_binary}
+    assert binary == {"b", "u"}
+    for j, v in enumerate(inst.variables):
+        assert inst.is_binary(j) == v.is_binary
+    assert inst.binary_indices() == [inst.index_of("b"), inst.index_of("u")]
+    for row in inst.rows:
+        touches_non_binary = any(inst.variables[j].name not in binary for j, _ in row.coeffs)
+        assert (normalize_to_knapsack(row, inst) == []) == touches_non_binary, row.name
+
+
 def _eval_row(row, point):
     lhs = sum(a * point[j] for j, a in row.coeffs)
     if row.sense == "<=":

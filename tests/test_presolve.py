@@ -3,8 +3,20 @@ import random
 
 import pytest
 
-from cgcuts import MilpInstance, Row, build, extend_clique, parse_mps, strengthen, write_mps
+from cgcuts import (
+    MilpInstance,
+    Row,
+    StrengthenReport,
+    build,
+    extend_clique,
+    literals_to_row,
+    normalize_to_knapsack,
+    parse_mps,
+    strengthen,
+    write_mps,
+)
 from cgcuts.cli import main
+from cgcuts.presolve import _set_packing_clique
 from cgcuts.oracle import enum_feasible
 
 import gen
@@ -204,3 +216,78 @@ def test_strengthen_names_around_existing_clqext_row(tmp_path):
     out = strengthen(inst, build(inst)).instance
     assert [r.name for r in out.rows] == ["r1_clqext2"]
     assert parse_mps(write_mps(out)).rows == out.rows
+
+
+def _reference_strengthen(instance, g, alpha_max=128):
+    """``strengthen`` with its original dominance scan: every live row is
+    checked after each extension, not only the rows filed under the
+    extension's literals."""
+    eligible = []
+    for ri, row in enumerate(instance.rows):
+        if row.sense == "=" or len(row.coeffs) > alpha_max:
+            continue
+        krows = normalize_to_knapsack(row, instance)
+        if len(krows) != 1:
+            continue
+        clique = _set_packing_clique(krows[0])
+        if clique is not None:
+            eligible.append((ri, clique))
+    alive = dict(eligible)
+    extended, added, removed = {}, {}, []
+    for ri, clique in eligible:
+        if ri not in alive:
+            continue
+        ext = extend_clique(g, clique)
+        if ext == clique:
+            continue
+        extended[ri] = ext
+        added[ri] = len(ext) - len(clique)
+        alive.pop(ri)
+        for rj in list(alive):
+            if alive[rj] <= ext:
+                alive.pop(rj)
+                removed.append(rj)
+    taken = {row.name for row in instance.rows} | {instance.objective_name}
+    new_rows = []
+    for ri, row in enumerate(instance.rows):
+        if ri in removed:
+            continue
+        if ri in extended:
+            name, k = row.name + "_clqext", 2
+            while name in taken:
+                name, k = f"{row.name}_clqext{k}", k + 1
+            taken.add(name)
+            terms = [(lit, 1.0) for lit in sorted(extended[ri])]
+            new_rows.append(literals_to_row(terms, 1.0, instance.n_vars, name))
+        else:
+            new_rows.append(row)
+    result = MilpInstance(list(instance.variables), new_rows, name=instance.name,
+                          objective_name=instance.objective_name)
+    return StrengthenReport(sorted(added.items()), sorted(removed), result)
+
+
+def _assert_matches_reference(inst, g):
+    report = strengthen(inst, g)
+    reference = _reference_strengthen(inst, g)
+    assert report.extended == reference.extended
+    assert report.removed_rows == reference.removed_rows
+    assert write_mps(report.instance) == write_mps(reference.instance)
+    return report
+
+
+def test_strengthen_matches_full_scan_reference():
+    for seed in range(20):
+        for min_clq_size in (0, 4, 512):
+            inst = gen.random_setpacking_instance(random.Random(seed))
+            _assert_matches_reference(inst, build(inst, min_clq_size))
+
+
+def test_strengthen_matches_full_scan_reference_on_pair_rows():
+    # 4,000 pair rows over 400 variables: average degree 20.
+    rng = random.Random(7)
+    pairs = set()
+    while len(pairs) < 4000:
+        pairs.add(tuple(sorted(rng.sample(range(400), 2))))
+    inst = MilpInstance(gen.binary_vars(400), gen.pair_rows(sorted(pairs)))
+    report = _assert_matches_reference(inst, build(inst))
+    assert report.extended and report.removed_rows
