@@ -2,6 +2,11 @@
 
 Vertex sets (P, X, adjacency rows) are arbitrary-precision ints used as
 bit strings, so the hot set operations are single AND/OR expressions.
+The current clique R is a tuple of local indices, one longer per branch
+taken.  A maximal clique is emitted as the frozenset of its external ids
+inserted in local-index order: a set's iteration order can depend on the
+order of insertion, and callers sum floats in iteration order, so the
+subgraph's numbering fixes it, not the path the search took.
 The search enumerates maximal cliques whose weight reaches ``min_weight``,
 skipping any subtree where the weight of the current clique plus all
 remaining candidates cannot reach it.  It runs on an explicit stack of
@@ -94,12 +99,13 @@ def find_cliques(g: WeightedSubgraph, params: BkParams) -> BkResult:
     ``calls`` counts search nodes: a node is one (R, P, X) state, visited
     in depth-first order at the top of one loop.  A node with candidates
     pushes a frame whose branches are P minus the neighbors of the pivot,
-    the heaviest vertex of P | X; a node without them emits R when X is
-    empty too.  The search stops when node ``params.max_calls + 1`` is
-    reached, which is counted too, so the run was exact iff
-    ``calls <= max_calls``.  Cliques already emitted are always maximal
-    and heavy enough, budget or not.  A subtree is skipped when the weight
-    of R plus the weight of P cannot reach the threshold.
+    the heaviest vertex of P | X; a node without them emits R, the
+    branch vertices taken to reach it, as external ids when X is empty too.
+    The search stops when node ``params.max_calls + 1`` is reached, which
+    is counted too, so the run was exact iff ``calls <= max_calls``.
+    Cliques already emitted are always maximal and heavy enough, budget or
+    not.  A subtree is skipped when the weight of R plus the weight of P
+    cannot reach the threshold.
 
     P's weight is summed heaviest first (lowest bit first) and the sum
     stops once R plus the part summed reaches the threshold: with
@@ -112,12 +118,13 @@ def find_cliques(g: WeightedSubgraph, params: BkParams) -> BkResult:
     n = len(g)
     minw = params.min_weight - WEIGHT_EPS
     max_calls = params.max_calls
-    adj, weights = g.adj, g.weights
-    out: list[int] = []
+    adj, weights, node = g.adj, g.weights, g.nodes.__getitem__
+    out: list[frozenset[int]] = []
     calls = 0
-    # Frames are [R, P, X, weight of R, branch vertices not yet taken].
+    # Frames are [R, P, X, weight of R, branch vertices not yet taken]; R
+    # is the tuple of the branch vertices taken, P and X are masks.
     stack: list[list] = []
-    r_mask, p_mask, x_mask, r_weight = 0, (1 << n) - 1, 0, 0.0
+    r, p_mask, x_mask, r_weight = (), (1 << n) - 1, 0, 0.0
     while True:
         # Visit the node (R, P, X).
         calls += 1
@@ -137,10 +144,10 @@ def find_cliques(g: WeightedSubgraph, params: BkParams) -> BkResult:
                 # set bit; P minus N(u) keeps u itself when it sits in P.
                 m = p_mask | x_mask
                 u = (m & -m).bit_length() - 1
-                stack.append([r_mask, p_mask, x_mask, r_weight, p_mask & ~adj[u]])
-        elif r_weight >= minw and not x_mask and r_mask:
+                stack.append([r, p_mask, x_mask, r_weight, p_mask & ~adj[u]])
+        elif r_weight >= minw and not x_mask and r:
             # No candidates and X empty: R is maximal.
-            out.append(r_mask)
+            out.append(frozenset(map(node, sorted(r))))
         # The next node is the first untaken branch of the deepest frame.
         # Its P and X are taken before the frame moves v from P to X.
         while stack:
@@ -153,22 +160,13 @@ def find_cliques(g: WeightedSubgraph, params: BkParams) -> BkResult:
             break  # the stack is empty: the search is done
         low = ext & -ext
         v = low.bit_length() - 1
-        r_mask, p_mask, x_mask, r_weight, _ = frame
+        r, p_mask, x_mask, r_weight, _ = frame
         frame[1] = p_mask & ~low
         frame[2] = x_mask | low
         frame[4] = ext ^ low
-        r_mask |= low
+        r += (v,)
         p_mask &= adj[v]
         x_mask &= adj[v]
         r_weight += weights[v]
 
-    nodes = g.nodes
-    cliques = []
-    for mask in out:
-        members = []
-        while mask:
-            low = mask & -mask
-            members.append(nodes[low.bit_length() - 1])
-            mask ^= low
-        cliques.append(frozenset(members))
-    return BkResult(cliques, calls <= max_calls, calls)
+    return BkResult(out, calls <= max_calls, calls)

@@ -95,8 +95,9 @@ class MilpInstance:
     """Variables and rows of a model.
 
     The name index and the binarity list (one ``Variable.is_binary`` per
-    column, read by ``is_binary`` and ``normalize_to_knapsack``) are taken
-    at construction; later edits to ``variables`` are not seen by either.
+    column, read by ``is_binary``, ``normalize_to_knapsack`` and
+    ``strengthen``) are taken at construction; later edits to
+    ``variables`` are not seen by any of them.
     """
 
     variables: list[Variable]

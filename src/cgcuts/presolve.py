@@ -1,10 +1,11 @@
 """Clique strengthening: grow set-packing rows to maximal cliques.
 
 Each set-packing row (unit coefficients, rhs 1 after knapsack
-normalization, so complements qualify too) is extended greedily over the
-conflict graph; the extended row replaces it and every other collected
-set-packing row whose literal set the extension covers is dropped as
-dominated.  Everything else in the instance is left untouched.
+normalization, so complements qualify too; read from the row's own
+coefficients) is extended greedily over the conflict graph; the extended
+row replaces it and every other collected set-packing row whose literal
+set the extension covers is dropped as dominated.  Everything else in
+the instance is left untouched.
 
 An extension may hold both literals of one variable x_j, since x_j
 always conflicts with its complement.  In the written row x_j and
@@ -24,9 +25,10 @@ from .cgraph import ConflictGraph, greedy_extend
 from .model import (
     EPS,
     SENSE_EQ,
+    SENSE_GE,
     MilpInstance,
+    Row,
     literals_to_row,
-    normalize_to_knapsack,
 )
 
 
@@ -57,14 +59,35 @@ def extend_clique(g: ConflictGraph, clique: Iterable[int]) -> frozenset[int]:
     return greedy_extend(g, c, lambda v: (-len(g.neighbors(v)), v))
 
 
-def _set_packing_clique(krow) -> frozenset[int] | None:
-    if len(krow.literals) < 2:
+def _set_packing_literals(row: Row, instance: MilpInstance) -> frozenset[int] | None:
+    """The literals of a <= or >= row over binaries whose knapsack form has
+    at least two literals, unit coefficients and rhs 1, else None.
+
+    The form is read from the coefficients, as ``normalize_to_knapsack``
+    writes it: a >= row is negated, and each negative term is complemented
+    and adds its magnitude to the rhs, in the row's order.
+    """
+    if len(row.coeffs) < 2:
         return None
-    if abs(krow.rhs - 1.0) > EPS:
+    binary, n = instance._binary, instance.n_vars
+    sign = -1.0 if row.sense == SENSE_GE else 1.0
+    b = sign * row.rhs
+    literals = []
+    for j, a in row.coeffs:
+        if not binary[j]:
+            return None
+        a *= sign
+        if a > 0:
+            literals.append(j)
+        else:
+            literals.append(j + n)
+            a = -a
+            b += a
+        if abs(a - 1.0) > EPS:
+            return None
+    if abs(b - 1.0) > EPS:
         return None
-    if any(abs(a - 1.0) > EPS for _, a in krow.literals):
-        return None
-    return frozenset(lit for lit, _ in krow.literals)
+    return frozenset(literals)
 
 
 def strengthen(instance: MilpInstance, g: ConflictGraph,
@@ -80,10 +103,7 @@ def strengthen(instance: MilpInstance, g: ConflictGraph,
     for ri, row in enumerate(instance.rows):
         if row.sense == SENSE_EQ or len(row.coeffs) > alpha_max:
             continue
-        krows = normalize_to_knapsack(row, instance)
-        if len(krows) != 1:
-            continue
-        clique = _set_packing_clique(krows[0])
+        clique = _set_packing_literals(row, instance)
         if clique is not None:
             eligible.append((ri, clique))
 

@@ -145,15 +145,21 @@ def separate_cliques(g: ConflictGraph, point: FractionalPoint,
         log.warning("Bron-Kerbosch stopped at its budget: %d calls counted, "
                     "max_calls %d; violated cliques may be missing",
                     result.calls, params.max_calls)
-    values = point.literal_values(g.n_vars)
+    value = point.literal_values(g.n_vars).__getitem__
+    lift = sub.lift
     cuts = []
     for clique in result.cliques:
-        lifts = [sub.lift[v] for v in clique]
-        ext = extend_cut(g, clique, point, lifts[0].intersection(*lifts[1:]))
+        # The members' common lift set, intersected pairwise until empty.
+        common = None
+        for v in clique:
+            common = lift[v] if common is None else common & lift[v]
+            if not common:
+                break
+        ext = extend_cut(g, clique, point, common)
         if len(ext) == 2 and max(ext) - min(ext) == g.n_vars:
             continue
-        cuts.append(CliqueCut(ext, sum(values[v] for v in ext) - 1.0, ext - clique))
-    cuts.sort(key=lambda c: (-c.violation, tuple(sorted(c.members))))
+        cuts.append(CliqueCut(ext, sum(map(value, ext)) - 1.0, ext - clique))
+    cuts.sort(key=lambda c: (-c.violation, sorted(c.members)))
     return cuts
 
 

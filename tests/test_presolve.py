@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,8 @@ from cgcuts import (
     write_mps,
 )
 from cgcuts.cli import main
-from cgcuts.presolve import _set_packing_clique
+from cgcuts.model import EPS, Variable
+from cgcuts.presolve import _set_packing_literals
 from cgcuts.oracle import enum_feasible
 
 import gen
@@ -216,6 +218,75 @@ def test_strengthen_names_around_existing_clqext_row(tmp_path):
     out = strengthen(inst, build(inst)).instance
     assert [r.name for r in out.rows] == ["r1_clqext2"]
     assert parse_mps(write_mps(out)).rows == out.rows
+
+
+def _set_packing_clique(krow):
+    """A knapsack row's literals when it reads as a set-packing row."""
+    if len(krow.literals) < 2:
+        return None
+    if abs(krow.rhs - 1.0) > EPS:
+        return None
+    if any(abs(a - 1.0) > EPS for _, a in krow.literals):
+        return None
+    return frozenset(lit for lit, _ in krow.literals)
+
+
+def _knapsack_set_packing(row, instance):
+    """Set-packing detection through ``normalize_to_knapsack``."""
+    krows = normalize_to_knapsack(row, instance)
+    return _set_packing_clique(krows[0]) if len(krows) == 1 else None
+
+
+def _edge_rows(rng, count):
+    """Rows of one to three terms over three binaries and one continuous
+    column: unit magnitudes or ones off by EPS / 2 or 2 * EPS, either sign,
+    either sense, and the rhs that makes the knapsack rhs 1, or one off it
+    by EPS / 2 or 2 * EPS."""
+    magnitudes = (1.0, 1.0 + EPS / 2, 1.0 - EPS / 2, 1.0 + 2 * EPS, 1.0 - 2 * EPS)
+    offsets = (0.0, EPS / 2, -EPS / 2, 2 * EPS, -2 * EPS)
+    rows = []
+    for i in range(count):
+        columns = rng.sample(range(4), rng.randint(1, 3))
+        coeffs = [(j, rng.choice((-1.0, 1.0)) * rng.choice(magnitudes)) for j in columns]
+        sense = rng.choice(("<=", ">="))
+        sign = 1.0 if sense == "<=" else -1.0
+        # The knapsack rhs is sign * rhs plus the magnitudes complemented.
+        complemented = sum(abs(a) for _, a in coeffs if sign * a < 0)
+        rhs = sign * (1.0 - complemented + rng.choice(offsets))
+        rows.append(Row(f"r{i}", coeffs, sense, rhs))
+    variables = gen.binary_vars(3) + [Variable("c", 0.0, 10.0, False)]
+    return MilpInstance(variables, rows)
+
+
+def test_set_packing_detection_matches_knapsack_form():
+    rng = random.Random(44)
+    instances = [_edge_rows(rng, 4000)]
+    for _ in range(150):
+        make = rng.choice((gen.random_setpacking_instance, gen.random_binary_instance))
+        instances.append(make(rng, n_vars=rng.randint(3, 10)))
+    seen = Counter()
+    for inst in instances:
+        n = inst.n_vars
+        for row in inst.rows:
+            if row.sense == "=":
+                continue
+            expected = _knapsack_set_packing(row, inst)
+            assert _set_packing_literals(row, inst) == expected, row
+            if expected is None:
+                binary = all(inst.is_binary(j) for j, _ in row.coeffs)
+                seen["rejected, continuous" if not binary else
+                     "rejected, one literal" if len(row.coeffs) == 1 else
+                     "rejected, binary"] += 1
+                continue
+            seen["accepted"] += 1
+            seen["accepted, >="] += row.sense == ">="
+            seen["accepted, negative"] += any(a < 0 for _, a in row.coeffs)
+            seen["accepted, complemented"] += any(lit >= n for lit in expected)
+            seen["accepted, not exactly unit"] += any(abs(a) != 1.0 for _, a in row.coeffs)
+    assert all(seen[k] >= 100 for k in (
+        "accepted", "accepted, >=", "accepted, negative", "accepted, complemented",
+        "accepted, not exactly unit", "rejected, continuous", "rejected, one literal",
+        "rejected, binary")), seen
 
 
 def _reference_strengthen(instance, g, alpha_max=128):
