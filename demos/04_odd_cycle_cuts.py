@@ -34,7 +34,7 @@ point = FractionalPoint({j: 0.5 for j in range(5)} | {5: 0.0, 6: 0.0, 7: 0.0})
 # The auxiliary graph doubles each literal; edge weight (1 - vi - vj)/2
 # makes cheap paths correspond to heavily violated cycles.
 aux = build_auxiliary(g, point)
-print("auxiliary nodes:", aux.n_aux, " clamped weights:", aux.clamped_edges)
+print("auxiliary nodes:", len(aux.adj), " clamped weights:", aux.clamped_edges)
 
 cuts = separate_odd_cycles(g, point)
 for cut in cuts:

@@ -60,19 +60,6 @@ class WeightedSubgraph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    @classmethod
-    def from_edges(cls, weights: dict[int, float],
-                   edges: "list[tuple[int, int]] | set"):
-        nodes = weight_order(weights)
-        index = {v: i for i, v in enumerate(nodes)}
-        n = len(nodes)
-        adj = [0] * n
-        for e in edges:
-            u, v = tuple(e)
-            adj[index[u]] |= 1 << index[v]
-            adj[index[v]] |= 1 << index[u]
-        return cls(nodes, [weights[v] for v in nodes], adj)
-
 
 @dataclass
 class BkParams:

@@ -15,9 +15,9 @@ adjacency lists and the clique indices lists the literals conflicting with
 one literal, so the split is invisible to callers.  Only ``neighbors``
 caches, a sorted tuple per literal, for the readers that ask again and
 again: ``conflicting``, ``greedy_extend``, the clique separator and the
-presolve order.  ``conflicts_among``, ``degree`` and ``edge_set`` walk
-afresh and fill no cache, so counting the edges of a stored k-literal
-clique holds one member's neighbors at a time, not k of them.  The trivial
+presolve order.  ``conflicts_among`` and ``degree`` walk afresh and
+fill no cache, so counting the edges of a stored k-literal clique holds
+one member's neighbors at a time, not k of them.  The trivial
 conflict between a literal and its complement is never stored and always
 reported.
 
@@ -183,16 +183,6 @@ class ConflictGraph:
         Fills no cache, so counting every degree holds one literal's
         neighbors at a time."""
         return len(self._walk(a))
-
-    def edge_set(self) -> set[frozenset[int]]:
-        """All stored (non-trivial) conflict edges.  Fills no cache."""
-        edges: set[frozenset[int]] = set()
-        for a in range(self.n_nodes):
-            comp = self.complement(a)
-            for b in self._walk(a):
-                if b != comp:
-                    edges.add(frozenset((a, b)))
-        return edges
 
     def dump(self, instance: MilpInstance) -> str:
         """Debug listing: stored cliques, tuples and adjacency lists."""

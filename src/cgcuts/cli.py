@@ -1,4 +1,4 @@
-"""Command-line front end: stats, strengthen, separate, oracle.
+"""Command-line front end: stats, strengthen, separate.
 
 Exit codes for ``separate``: 0 when cuts were found, 1 when none, 2 on
 errors: bad files, usage, or any other exception, which is reported as
@@ -31,22 +31,18 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _format_coeff(a: float) -> str:
-    return f"{a:g}"
-
-
 def format_row(row: Row, instance: MilpInstance) -> str:
     parts = []
     for j, a in row.coeffs:
         name = instance.variables[j].name
         mag = abs(a)
-        term = name if mag == 1.0 else f"{_format_coeff(mag)} {name}"
+        term = name if mag == 1.0 else f"{mag:g} {name}"
         if not parts:
             parts.append(term if a > 0 else f"- {term}")
         else:
             parts.append(f"+ {term}" if a > 0 else f"- {term}")
     expr = " ".join(parts) if parts else "0"
-    return f"{expr} <= {_format_coeff(row.rhs)}"
+    return f"{expr} <= {row.rhs:g}"
 
 
 def cmd_stats(args) -> int:
@@ -58,7 +54,7 @@ def cmd_stats(args) -> int:
     n_int = sum(1 for v in instance.variables if v.is_integer and not v.is_binary)
     n_con = instance.n_vars - n_bin - n_int
     nz = sum(len(r.coeffs) for r in instance.rows)
-    # degree() counts the complement once, which edge_set() drops; it
+    # degree() counts the complement, which is no edge of the graph; it
     # fills no cache, so one literal's neighbors are held at a time.
     n_edges = sum(g.degree(a) - 1 for a in range(g.n_nodes)) // 2
     st = g.store
@@ -130,24 +126,6 @@ def cmd_separate(args) -> int:
     return 0 if cuts else 1
 
 
-def cmd_oracle(args) -> int:
-    from . import oracle  # brute force, so only this command imports it
-
-    instance = _load_model(args.model)
-    if args.oracle_command == "probe":
-        result = oracle.probe_pairs(instance)
-        lines = sorted(
-            " ".join(sorted(instance.node_name(v) for v in edge))
-            for edge in result.edges
-        )
-        _emit("\n".join(lines) + ("\n" if lines else ""), args.out)
-    else:
-        points = sorted(oracle.enum_feasible(instance))
-        _emit("\n".join("".join(str(b) for b in p) for p in points)
-              + ("\n" if points else ""), args.out)
-    return 0
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--min-clq-size", type=int, default=512,
                    help="cliques this small are stored pairwise (default 512)")
@@ -186,14 +164,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="tab-separated machine-readable cut lines")
         _add_common(q)
     p_sep.set_defaults(func=cmd_separate)
-
-    p_or = sub.add_parser("oracle", help="brute-force references (debugging)")
-    or_sub = p_or.add_subparsers(dest="oracle_command", required=True)
-    for name in ("probe", "feasible"):
-        q = or_sub.add_parser(name)
-        q.add_argument("model")
-        q.add_argument("--out", default=None)
-    p_or.set_defaults(func=cmd_oracle)
 
     args = parser.parse_args(argv)
     try:

@@ -208,11 +208,8 @@ class FractionalPoint:
                 raise ValueError(f"reduced cost NaN for variable index {j}")
         self.values = {j: min(1.0, max(0.0, v)) for j, v in self.values.items()}
 
-    def var_value(self, j: int) -> float:
-        return self.values.get(j, 0.0)
-
     def lit_value(self, node: int, n_vars: int) -> float:
-        v = self.var_value(node_var(node, n_vars))
+        v = self.values.get(node_var(node, n_vars), 0.0)
         return 1.0 - v if node >= n_vars else v
 
     def literal_values(self, n_vars: int) -> list[float]:

@@ -69,10 +69,6 @@ class AuxiliaryGraph:
     adj: list[list[tuple[int, float]]]
     clamped_edges: int
 
-    @property
-    def n_aux(self) -> int:
-        return 2 * len(self.nodes)
-
 
 def build_auxiliary(g: ConflictGraph, point: FractionalPoint) -> AuxiliaryGraph:
     """Build the auxiliary graph over the literals with value above the

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from cgcuts import KnapsackRow, MilpInstance, Row, Variable, normalize_to_knapsack
+from cgcuts import MilpInstance, Row, Variable, normalize_to_knapsack
+from cgcuts.bk import WeightedSubgraph, weight_order
+from cgcuts.model import KnapsackRow
 
 
 def binary_vars(n: int, prefix: str = "x") -> list[Variable]:
@@ -209,6 +211,27 @@ def cliques_edge_set(cliques) -> set[frozenset[int]]:
             for k in range(i + 1, len(members)):
                 edges.add(frozenset((members[i], members[k])))
     return edges
+
+
+def edge_set(g) -> set[frozenset[int]]:
+    """All non-trivial conflict edges of a graph, complement pairs left out.
+    Fills no neighbor cache."""
+    return {frozenset((a, b))
+            for a, nbrs in g.conflicts_among(range(g.n_nodes)).items()
+            for b in nbrs if b != g.complement(a)}
+
+
+def weighted_subgraph(weights: dict[int, float], edges) -> WeightedSubgraph:
+    """The subgraph over ``weights``' ids with the given edges, numbered
+    by ``bk.weight_order``; each edge is any pair of ids."""
+    nodes = weight_order(weights)
+    index = {v: i for i, v in enumerate(nodes)}
+    adj = [0] * len(nodes)
+    for e in edges:
+        u, v = tuple(e)
+        adj[index[u]] |= 1 << index[v]
+        adj[index[v]] |= 1 << index[u]
+    return WeightedSubgraph(nodes, [weights[v] for v in nodes], adj)
 
 
 def graph_adjacency(g) -> dict[int, set[int]]:

@@ -9,29 +9,24 @@ import time
 from cgcuts import (
     BkParams,
     FractionalPoint,
-    KnapsackRow,
     MilpInstance,
     Row,
     build,
     detect_cliques,
-    detect_cliques_compressed,
     normalize_to_knapsack,
     oddwheel_to_row,
     separate_cliques,
     separate_odd_cycles,
     strengthen,
 )
-from cgcuts.bk import WeightedSubgraph, find_cliques
-from cgcuts.oracle import (
-    enum_conflict_feasible,
-    enum_feasible,
-    enum_maximal_cliques,
-    enum_odd_cycles,
-    probe_pairs,
-)
+from cgcuts.bk import find_cliques
+from cgcuts.cgraph import detect_cliques_compressed
+from cgcuts.model import KnapsackRow
+from cgcuts.oracle import probe_pairs
 from cgcuts.sep_clique import cut_to_row, fractional_subgraph
 
 import gen
+from brute import enum_conflict_feasible, enum_feasible, enum_maximal_cliques, enum_odd_cycles
 
 
 def _report(num: int, desc: str, t0: float, budget: float) -> None:
@@ -84,7 +79,7 @@ def test_criterion_2_oracle_edge_equivalence():
                                           n_rows=rng.randint(1, 8))
         probe = probe_pairs(inst)
         for mcs in (0, 2, 512):
-            assert build(inst, mcs).edge_set() == probe.edges
+            assert gen.edge_set(build(inst, mcs)) == probe.edges
     _report(2, "graph edges == probing oracle, 500 instances x 3 split sizes", t0, 30.0)
 
 
@@ -118,7 +113,7 @@ def test_criterion_4_bk_exactness():
         minw = rng.uniform(0.0, 2.5)
         expect = enum_maximal_cliques(adj, weights, minw)
         edges = {frozenset((u, v)) for u in adj for v in adj[u]}
-        sub = WeightedSubgraph.from_edges(weights, edges)
+        sub = gen.weighted_subgraph(weights, edges)
         res = find_cliques(sub, BkParams(min_weight=minw, max_calls=10**9))
         assert res.exact
         assert set(res.cliques) == expect
@@ -232,7 +227,7 @@ def test_criterion_7_extra_cliques_beat_single_swap():
             [Row("r", list(enumerate(coeffs)), "<=", b)],
         )
         krow = KnapsackRow(list(enumerate(coeffs)), b)
-        oracle_edges = probe_pairs(inst).per_constraint[0]
+        oracle_edges = probe_pairs(inst).edges
         baseline_edges = gen.cliques_edge_set(gen.single_swap_cliques(krow))
         if not baseline_edges < oracle_edges:
             continue  # oracle must confirm extra edges exist

@@ -3,16 +3,16 @@ import random
 
 import pytest
 
-from cgcuts import BkParams, BkResult, WeightedSubgraph, find_cliques
-from cgcuts.bk import WEIGHT_EPS
-from cgcuts.oracle import enum_maximal_cliques
+from cgcuts import BkParams
+from cgcuts.bk import WEIGHT_EPS, BkResult, WeightedSubgraph, find_cliques
 
 import gen
+from brute import enum_maximal_cliques
 
 
 def _subgraph(adj, weights):
     edges = {frozenset((u, v)) for u in adj for v in adj[u]}
-    return WeightedSubgraph.from_edges(weights, edges)
+    return gen.weighted_subgraph(weights, edges)
 
 
 def _reference_pivot(g, cand):
@@ -106,7 +106,7 @@ def test_matches_recursive_reference_deep():
     weights = {v: 0.5 for v in range(2 * k)}
     edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
     edges += [(v, v + k) for v in range(k)]
-    g = WeightedSubgraph.from_edges(weights, edges)
+    g = gen.weighted_subgraph(weights, edges)
     for max_calls in (k // 2, 10**9):
         res = _assert_same_as_reference(g, BkParams(min_weight=1.02, max_calls=max_calls))
     assert res.exact and res.cliques == [frozenset(range(k))]
@@ -144,7 +144,7 @@ def test_triangle_golden():
 
 
 def test_empty_graph():
-    g = WeightedSubgraph.from_edges({}, [])
+    g = gen.weighted_subgraph({}, [])
     res = find_cliques(g, BkParams(min_weight=0.0))
     assert res.cliques == [] and res.exact
     assert res.calls == 1
@@ -215,7 +215,7 @@ def test_call_count_monotone_on_nested_subgraphs():
 
 def test_subgraph_numbered_by_weight():
     weights = {7: 0.5, 2: 0.9, 9: 0.1, 5: 0.9, 4: 0.5}
-    g = WeightedSubgraph.from_edges(weights, [(7, 2), (9, 5)])
+    g = gen.weighted_subgraph(weights, [(7, 2), (9, 5)])
     assert g.nodes == [2, 5, 4, 7, 9]
     assert g.weights == [0.9, 0.9, 0.5, 0.5, 0.1]
     with pytest.raises(ValueError, match="must not increase"):
@@ -229,7 +229,7 @@ def test_wgt_pivot_ties_go_to_smallest_id():
     # lowest set bit of any candidate set, which find_cliques takes as
     # its pivot without a scan.
     weights = {7: 0.5, 2: 0.9, 9: 0.5, 5: 0.9, 4: 0.5, 3: 0.9}
-    g = WeightedSubgraph.from_edges(weights, [])
+    g = gen.weighted_subgraph(weights, [])
     for cand in range(1, 1 << len(g)):
         u = _reference_pivot(g, cand)
         assert u == (cand & -cand).bit_length() - 1
@@ -276,6 +276,6 @@ def test_clique_with_variable_and_complement_weights():
     # weights may sum above 1 only via a third literal
     weights = {0: 0.5, 1: 0.5, 2: 0.4}
     edges = [(0, 1), (0, 2), (1, 2)]
-    res = find_cliques(WeightedSubgraph.from_edges(weights, edges),
+    res = find_cliques(gen.weighted_subgraph(weights, edges),
                        BkParams(min_weight=1.3))
     assert res.cliques == [frozenset({0, 1, 2})]

@@ -5,18 +5,15 @@ from collections import Counter
 from cgcuts import (
     BkParams,
     FractionalPoint,
-    KnapsackRow,
     MilpInstance,
     Row,
-    RowCliques,
     build,
     detect_cliques,
-    detect_cliques_compressed,
-    find_cliques,
     normalize_to_knapsack,
 )
-from cgcuts.cgraph import greedy_extend
-from cgcuts.model import EPS
+from cgcuts.bk import find_cliques
+from cgcuts.cgraph import RowCliques, detect_cliques_compressed, greedy_extend
+from cgcuts.model import EPS, KnapsackRow
 from cgcuts.oracle import probe_pairs
 from cgcuts.sep_clique import candidate_order_key, fractional_subgraph
 
@@ -51,8 +48,6 @@ def test_detect_cliques_set_packing_row():
 
 
 def test_detect_cliques_empty_row():
-    from cgcuts import KnapsackRow
-
     assert detect_cliques(KnapsackRow([], 1.0)) == []
     assert detect_cliques(KnapsackRow([(0, 1.0)], 1.0)) == []
 
@@ -153,7 +148,7 @@ def test_build_no_binary_rows():
     inst = MilpInstance(variables, [Row("r", [(0, 1.0), (1, 1.0)], "<=", 1.0)])
     g = build(inst)
     assert g.n_nodes == 4
-    assert g.edge_set() == set()
+    assert gen.edge_set(g) == set()
     assert g.conflicting(0, 2)  # trivial pair still answered
     assert g.neighbors(0) == (2,)
 
@@ -185,7 +180,7 @@ def test_neighbors_symmetry_and_oracle_equivalence():
         inst = gen.random_binary_instance(rng, n_vars=rng.randint(2, 12))
         g = build(inst, min_clq_size=rng.choice([0, 2, 512]))
         probe = probe_pairs(inst)
-        assert g.edge_set() == probe.edges
+        assert gen.edge_set(g) == probe.edges
         degrees = [g.degree(a) for a in range(g.n_nodes)]
         assert not g._nbrs  # edge_set and degree fill no cache
         for a in range(g.n_nodes):
@@ -267,7 +262,7 @@ def test_dissolution_moves_small_cliques_to_adjlist():
     # the 3-clique of r2 and both 2-/3-literal tuples dissolve
     assert g.store.first_stored == [True, False, True]
     assert all(len(g.store.first[c]) - l + 2 > 3 for _, c, l in g.store.addtl)
-    assert g.edge_set() == build(inst, 0).edge_set()
+    assert gen.edge_set(g) == gen.edge_set(build(inst, 0))
 
 
 def test_keep_dissolve_boundary():
@@ -284,7 +279,7 @@ def test_keep_dissolve_boundary():
         g = build(inst, min_clq_size)
         assert g.store.first_stored == first_stored, min_clq_size
         assert g.store.addtl == addtl, min_clq_size
-        assert g.edge_set() == build(inst, 0).edge_set()
+        assert gen.edge_set(g) == gen.edge_set(build(inst, 0))
 
 
 def test_dump_format():
@@ -348,7 +343,7 @@ def test_greedy_extend_matches_pairwise_loop():
             covered["stored first cliques"] += any(g.store.first_stored)
             covered["pairwise entries"] += any(g.adjlist)
             seeds = [{v} for v in range(g.n_nodes)]
-            seeds += [set(e) for e in sorted(g.edge_set(), key=sorted)]
+            seeds += [set(e) for e in sorted(gen.edge_set(g), key=sorted)]
             sub = fractional_subgraph(g, by_value)
             if sub.nodes:
                 bk = find_cliques(sub, BkParams(min_weight=0.0)).cliques

@@ -241,20 +241,6 @@ def test_usage_error_missing_point(triangle):
     assert exc.value.code == 2
 
 
-def test_oracle_probe(triangle, capsys):
-    mpath, _ = triangle
-    assert main(["oracle", "probe", mpath]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert sorted(out) == ["x1 x2", "x1 x3", "x2 x3"]
-
-
-def test_oracle_feasible(triangle, capsys):
-    mpath, _ = triangle
-    assert main(["oracle", "feasible", mpath]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert sorted(out) == ["000", "001", "010", "100"]
-
-
 def test_stats_edge_count_matches_oracle(tmp_path, capsys):
     import random
 
@@ -281,7 +267,7 @@ def test_stats_edge_count_matches_edge_set_with_tuples(tmp_path, capsys):
         assert mcs == 512 or g.store.addtl
         assert main(["stats", str(path), "--min-clq-size", str(mcs)]) == 0
         out = capsys.readouterr().out
-        assert f"conflict graph: nodes {g.n_nodes}, edges {len(g.edge_set())}\n" in out
+        assert f"conflict graph: nodes {g.n_nodes}, edges {len(gen.edge_set(g))}\n" in out
 
 
 def test_stats_holds_one_literals_neighbors_at_a_time(tmp_path, capsys):
@@ -361,12 +347,34 @@ def test_separate_clique_budget_warning(tmp_path):
                            "clique_1: x4 + x5 + x6 <= 1  # violation=0.500000\n")
 
 
-def test_cli_import_skips_numpy(triangle):
+def test_cli_import_skips_numpy():
     proc = _run_python("-c", "import sys, cgcuts.cli; print('numpy' in sys.modules)")
     assert proc.returncode == 0 and proc.stdout == "False\n"
-    proc = _run_python("-m", "cgcuts.cli", "oracle", "feasible", triangle[0])
-    assert proc.returncode == 0
-    assert sorted(proc.stdout.splitlines()) == ["000", "001", "010", "100"]
+
+
+def test_package_runs_without_numpy():
+    tests = str(Path(__file__).resolve().parent)
+    proc = _run_python("-c", f"""if True:
+        import importlib, pkgutil, sys
+        sys.modules["numpy"] = None  # any import of numpy now fails
+        sys.path.insert(0, {tests!r})
+        import cgcuts
+        for info in pkgutil.iter_modules(cgcuts.__path__):
+            importlib.import_module("cgcuts." + info.name)
+        import gen
+        from cgcuts import (BkParams, FractionalPoint, build, separate_cliques,
+                            separate_odd_cycles, strengthen)
+        from cgcuts.oracle import probe_pairs
+        inst = gen.odd_wheel_instance()
+        g = build(inst)
+        strengthen(inst, g)
+        hub = FractionalPoint({{5: 0.4, 6: 0.4, 7: 0.4}})
+        assert separate_cliques(g, hub, 0.02, BkParams())
+        assert separate_odd_cycles(g, FractionalPoint({{j: 0.5 for j in range(5)}}))
+        assert len(probe_pairs(inst).edges) == 23
+        print("ok")
+    """)
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
 
 def test_cli_import_skips_oracle():

@@ -9,13 +9,12 @@ from cgcuts import (
     ParseError,
     Row,
     Variable,
-    complement_node,
-    literals_to_row,
     normalize_to_knapsack,
     parse_mps,
     read_point,
     write_mps,
 )
+from cgcuts.model import complement_node, literals_to_row
 import gen
 
 MINIMAL_MPS = """\
@@ -253,8 +252,8 @@ def test_complement_involution():
 def test_read_point_basic():
     inst = parse_mps(MINIMAL_MPS)
     p = read_point("x1 0.5\n", inst)
-    assert p.var_value(0) == 0.5
-    assert p.var_value(1) == 0.0  # missing binaries default to zero
+    assert p.lit_value(0, 2) == 0.5
+    assert p.lit_value(1, 2) == 0.0  # missing binaries default to zero
     assert p.reduced_costs is None
 
 
@@ -293,7 +292,7 @@ def test_read_point_roundtrip():
     values = {j: round(rng.random(), 6) for j in range(10)}
     text = "\n".join(f"{inst.variables[j].name} {v}" for j, v in values.items())
     p = read_point(text, inst)
-    assert all(p.var_value(j) == v for j, v in values.items())
+    assert all(p.lit_value(j, 10) == v for j, v in values.items())
 
 
 def test_fractional_point_validates():

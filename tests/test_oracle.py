@@ -3,16 +3,16 @@ import random
 import pytest
 
 from cgcuts import MilpInstance, Row
-from cgcuts.oracle import (
+from cgcuts.oracle import probe_pairs
+
+import gen
+from brute import (
     BudgetExceededError,
     enum_conflict_feasible,
     enum_feasible,
     enum_maximal_cliques,
     enum_odd_cycles,
-    probe_pairs,
 )
-
-import gen
 
 
 def test_probe_simple_pair():

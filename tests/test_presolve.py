@@ -9,19 +9,17 @@ from cgcuts import (
     Row,
     StrengthenReport,
     build,
-    extend_clique,
-    literals_to_row,
     normalize_to_knapsack,
     parse_mps,
     strengthen,
     write_mps,
 )
 from cgcuts.cli import main
-from cgcuts.model import EPS, Variable
-from cgcuts.presolve import _set_packing_literals
-from cgcuts.oracle import enum_feasible
+from cgcuts.model import EPS, Variable, literals_to_row
+from cgcuts.presolve import _set_packing_literals, extend_clique
 
 import gen
+from brute import enum_feasible
 
 
 def test_extend_clique_golden():
@@ -69,7 +67,7 @@ def test_extend_clique_random_properties():
     for _ in range(80):
         inst = gen.random_setpacking_instance(rng, n_vars=rng.randint(3, 7))
         g = build(inst, min_clq_size=rng.choice([0, 512]))
-        edges = sorted(tuple(sorted(e)) for e in g.edge_set())
+        edges = sorted(tuple(sorted(e)) for e in gen.edge_set(g))
         if not edges:
             continue
         seed_edge = rng.choice(edges)

@@ -13,15 +13,14 @@ from cgcuts import (
     Row,
     build,
     cut_to_row,
-    extend_cut,
-    find_cliques,
     separate_cliques,
 )
-from cgcuts.bk import WeightedSubgraph
-from cgcuts.sep_clique import CliqueCut, fractional_subgraph
-from cgcuts.oracle import enum_conflict_feasible, enum_maximal_cliques, probe_pairs
+from cgcuts.bk import find_cliques
+from cgcuts.oracle import probe_pairs
+from cgcuts.sep_clique import CliqueCut, extend_cut, fractional_subgraph
 
 import gen
+from brute import enum_conflict_feasible, enum_maximal_cliques
 
 
 def test_triangle_golden():
@@ -209,12 +208,12 @@ def _reference_fractional_subgraph(g, point):
     n = g.n_vars
     weights = {}
     for j in range(n):
-        v = point.var_value(j)
+        v = point.lit_value(j, n)
         if 1e-6 < v < 1.0 - 1e-6:
             weights[j] = v
             weights[j + n] = 1.0 - v
     edges = [(a, b) for a in weights for b in g.neighbors(a) if b > a and b in weights]
-    return WeightedSubgraph.from_edges(weights, edges)
+    return gen.weighted_subgraph(weights, edges)
 
 
 def _complement_pair(members, n_vars):

@@ -11,7 +11,6 @@ from cgcuts import (
     Row,
     build,
     build_auxiliary,
-    lift_center,
     oddwheel_to_row,
     separate_odd_cycles,
 )
@@ -23,17 +22,19 @@ from cgcuts.sep_oddcycle import (
     _canonical_cycle,
     _shortest_path,
     _walk_cycles,
+    lift_center,
 )
-from cgcuts.oracle import enum_conflict_feasible, enum_odd_cycles, probe_pairs
-from cgcuts.oracle import _canonical_cycle as oracle_canonical_cycle
+from cgcuts.oracle import probe_pairs
 
 import gen
+from brute import _canonical_cycle as oracle_canonical_cycle
+from brute import enum_conflict_feasible, enum_odd_cycles
 
 
 def _aux_edge_weights(aux):
     """Each auxiliary edge as {literal pair: weight}, read from side 0."""
     return {frozenset((aux.nodes[u >> 1], aux.nodes[v >> 1])): w
-            for u in range(0, aux.n_aux, 2) for v, w in aux.adj[u]}
+            for u in range(0, len(aux.adj), 2) for v, w in aux.adj[u]}
 
 
 def test_auxiliary_single_edge_weights():
@@ -58,7 +59,7 @@ def test_auxiliary_five_cycle_structure():
     point = FractionalPoint({j: 0.5 for j in range(5)})
     aux = build_auxiliary(g, point)
     assert aux.nodes == list(range(10))  # every literal and its complement
-    assert aux.n_aux == 20
+    assert len(aux.adj) == 20
     # 5 cycle edges and 5 complement edges, each on both sides
     n_edges = sum(len(nbrs) for nbrs in aux.adj) // 2
     assert n_edges == 20
