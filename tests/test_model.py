@@ -447,3 +447,168 @@ def test_instance_rejects_row_named_like_objective():
     with pytest.raises(ValueError, match="objective"):
         MilpInstance(gen.binary_vars(1), [Row("c", [(0, 1.0)], "<=", 1.0)],
                      objective_name="c")
+
+
+# --------------------------------------------------------------------------
+# Line forms the parser accepts, and what it makes of them
+
+
+_MINIMAL = parse_mps(MINIMAL_MPS)
+
+
+def test_parse_skips_whitespace_only_lines():
+    text = MINIMAL_MPS.replace("    x2 c1 1.0", " \t \n\n    x2 c1 1.0").replace(
+        "ENDATA", "   \nENDATA")
+    assert parse_mps(text) == _MINIMAL
+    # Skipped lines still count: the unknown row is on line 10.
+    with pytest.raises(ParseError, match=r"^line 10: unknown row 'zz'$"):
+        parse_mps(text.replace("    x2 c1 1.0", "    x2 zz 1.0"))
+
+
+def test_parse_tab_separators():
+    text = ("NAME\tTAB\nROWS\n\tN\tOBJ\n\tL\tc1\nCOLUMNS\n\tx\tc1\t2.5\tOBJ\t1\n"
+            "RHS\n\tRHS\tc1\t3\nBOUNDS\n\tUP\tBND\tx\t4\nENDATA\n")
+    assert parse_mps(text) == MilpInstance(
+        [Variable("x", 0.0, 4.0, False, 1.0)], [Row("c1", [(0, 2.5)], "<=", 3.0)],
+        name="TAB")
+    assert parse_mps(MINIMAL_MPS.replace("    x2 c1 1.0", "\tx2\t c1 \t1.0\t")) == _MINIMAL
+
+
+def test_parse_comment_lines_in_column_one_and_indented():
+    text = ("* first\n" + MINIMAL_MPS).replace(
+        "    x2 c1 1.0", "*x2 c1 1.0\n    * x2 c1 2.0\n\t*\n    x2 c1 1.0").replace(
+        "BOUNDS", "* BOUNDS\nBOUNDS")
+    assert parse_mps(text) == _MINIMAL
+    with pytest.raises(ParseError, match=r"^line 12: unknown row 'zz'$"):
+        parse_mps(text.replace("    x2 c1 1.0", "    x2 zz 1.0"))
+    # A '*' inside a data line starts no comment.
+    with pytest.raises(ParseError, match=r"^line 8: bad numeric value 'note'$"):
+        parse_mps(MINIMAL_MPS.replace("    x2 c1 1.0", "    x2 c1 1.0 * note"))
+
+
+def test_parse_crlf_line_endings():
+    assert parse_mps(MINIMAL_MPS.replace("\n", "\r\n")) == _MINIMAL
+    bad = MINIMAL_MPS.replace("    x2 c1 1.0", "    x2 zz 1.0").replace("\n", "\r\n")
+    with pytest.raises(ParseError, match=r"^line 8: unknown row 'zz'$"):
+        parse_mps(bad)
+
+
+def test_parse_ignores_text_after_endata():
+    text = MINIMAL_MPS + "garbage after the end\n    x9 nosuch nan\nROWZ\n"
+    assert parse_mps(text) == _MINIMAL
+    assert parse_mps(MINIMAL_MPS.rstrip("\n")) == _MINIMAL
+
+
+def test_parse_lowercase_senses_bound_codes_and_headers():
+    text = (MINIMAL_MPS.replace(" N OBJ", " n OBJ").replace(" L c1", " g c1")
+            .replace(" BV BND x2", " up BND x2 1").replace("ROWS", "rows")
+            .replace("ENDATA", "endata"))
+    inst = parse_mps(text)
+    assert inst.rows == [Row("c1", [(0, 1.0), (1, 1.0)], ">=", 1.0)]
+    assert inst.variables == _MINIMAL.variables
+    text = MINIMAL_MPS.replace("ENDATA", " bv BND x1\n fx BND x2 2\n lo BND x2 1\n mi BND x1\nENDATA")
+    assert [(v.lower, v.upper) for v in parse_mps(text).variables] == [
+        (-math.inf, 1.0), (1.0, 2.0)]
+    # Messages quote the token as written, but name a bound type upper-cased.
+    for old, new, message in (
+            (" L c1", " x c1", "line 4: unknown row sense 'x'"),
+            (" BV BND x2", " pl BND x2", "line 14: unsupported bound type 'pl'"),
+            (" BV BND x2", " fx BND x2", "line 14: bound type FX needs a value"),
+            ("BOUNDS", "ranges", "line 12: unsupported section RANGES")):
+        with pytest.raises(ParseError) as exc:
+            parse_mps(_edit(old, new))
+        assert str(exc.value) == message
+
+
+def test_parse_marker_token_anywhere_on_the_line():
+    # Any 'MARKER' token makes a marker line; 'INTORG' or 'INTEND' may be
+    # any other token.
+    text = MINIMAL_MPS.replace(
+        "    MARKER                 'MARKER'                 'INTORG'",
+        "    'INTORG' 'MARKER'").replace(_INTEND, "    'MARKER' M 'INTEND'")
+    assert parse_mps(text) == _MINIMAL
+    text = MINIMAL_MPS.replace(_INTEND, "    x3 OBJ 1.0 'MARKER' 'INTEND'\n    x4 c1 1.0")
+    inst = parse_mps(text.replace(" BV BND x2", " BV BND x2\n UP BND x4 1"))
+    assert [v.name for v in inst.variables] == ["x1", "x2", "x4"]  # no x3
+    assert [v.is_binary for v in inst.variables] == [True, True, False]
+    with pytest.raises(ParseError, match=r"^line 7: marker line without INTORG/INTEND$"):
+        parse_mps(MINIMAL_MPS.replace("    x1 c1 1.0", "    x1 'MARKER' 1.0"))
+
+
+def test_parse_five_token_columns_and_rhs_lines():
+    text = ("NAME FIVE\nROWS\n N OBJ\n L a\n G b\nCOLUMNS\n"
+            "    x a 1.0 b 2.0\n    y OBJ 3.0 a -1.0\n    y b 4.0\n"
+            "RHS\n    RHS a 5.0 b 6.0\n    RHS OBJ 7.0 a 8.0\nENDATA\n")
+    # A line's second pair is read after its first, and the objective's
+    # rhs is ignored without counting as a duplicate; a's second rhs is one.
+    with pytest.raises(ParseError, match=r"^line 12: duplicate rhs for row 'a'$"):
+        parse_mps(text)
+    inst = parse_mps(text.replace(" a 8.0", ""))
+    assert inst == MilpInstance(
+        [Variable("x"), Variable("y", objective_coeff=3.0)],
+        [Row("a", [(0, 1.0), (1, -1.0)], "<=", 5.0), Row("b", [(0, 2.0), (1, 4.0)], ">=", 6.0)],
+        name="FIVE")
+    for line, message in (
+            ("    x a 1.0 b", "line 7: COLUMNS line must be '<col> (<row> <value>)+'"),
+            ("    x a 1.0 b 2.0 OBJ 1.0",
+             "line 7: COLUMNS line must be '<col> (<row> <value>)+'"),
+            ("    x a 1.0 zz 2.0", "line 7: unknown row 'zz'"),
+            ("    x zz 1.0 b 2.0x", "line 7: unknown row 'zz'"),
+            ("    x a 1.0 zz 2.0x", "line 7: bad numeric value '2.0x'"),
+            ("    x a 1.0 b nan", "line 7: NaN value 'nan'"),
+            ("    x a 1.0 b -inf", "line 7: infinite coefficient '-inf' for column 'x' in row 'b'"),
+            ("    x a 1.0 a 2.0", "line 7: duplicate entry for column 'x' in row 'a'")):
+        with pytest.raises(ParseError) as exc:
+            parse_mps(text.replace("    x a 1.0 b 2.0", line))
+        assert str(exc.value) == message
+    for line, message in (
+            ("    RHS a 5.0 b", "line 11: RHS line must be '<set> (<row> <value>)+'"),
+            ("    RHS a 5.0 zz 6.0", "line 11: unknown row 'zz'"),
+            ("    RHS a 5.0 b x", "line 11: bad numeric value 'x'")):
+        with pytest.raises(ParseError) as exc:
+            parse_mps(text.replace("    RHS a 5.0 b 6.0", line))
+        assert str(exc.value) == message
+
+
+# --------------------------------------------------------------------------
+# Construction messages of Row and MilpInstance
+
+
+@pytest.mark.parametrize("coeffs, sense, message", [
+    ([(0, 1.0)], "<", "row r: bad sense '<'"),
+    ([(0, 1.0)], "L", "row r: bad sense 'L'"),
+    ([(0, 1.0), (2, 1.0), (0, 2.0)], "<=", "row r: duplicate variable index 0"),
+    ([(1, 1.0), (0, 0.0), (1, 2.0)], "<=", "row r: coefficient 0.0 on index 0"),
+    ([(0, 1.0), (1, -0.0)], ">=", "row r: coefficient -0.0 on index 1"),
+    ([(0, math.inf)], "=", "row r: coefficient inf on index 0"),
+    ([(3, 1.0), (0, -math.inf)], "<=", "row r: coefficient -inf on index 0"),
+    ([(0, math.nan)], "<=", "row r: coefficient nan on index 0"),
+    # The first offending entry is named, whichever check it fails.
+    ([(0, 1.0), (0, math.nan)], "<=", "row r: duplicate variable index 0"),
+    ([(0, math.nan), (0, 1.0)], "<=", "row r: coefficient nan on index 0"),
+])
+def test_row_construction_messages(coeffs, sense, message):
+    with pytest.raises(ValueError) as exc:
+        Row("r", coeffs, sense, 1.0)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("names, rows, message", [
+    (["x1", "x2", "x1"], [], "duplicate variable name x1"),
+    (["x1", "x2"], [Row("r", [(0, 1.0)], "<=", 1.0), Row("s", [(1, 1.0)], "<=", 1.0),
+                    Row("r", [(1, 1.0)], ">=", 0.0)], "duplicate row name r"),
+    (["x1", "x2"], [Row("r", [(0, 1.0), (2, 1.0)], "<=", 1.0)],
+     "row r: variable index 2 out of range"),
+    (["x1", "x2"], [Row("r", [(0, 1.0)], "<=", 1.0), Row("s", [(-1, 1.0), (5, 1.0)], "<=", 1.0)],
+     "row s: variable index -1 out of range"),
+    # Names are checked before rows, and each row before the next.
+    (["x", "x"], [Row("r", [(7, 1.0)], "<=", 1.0)], "duplicate variable name x"),
+    (["x"], [Row("r", [(7, 1.0)], "<=", 1.0), Row("r", [(0, 1.0)], "<=", 1.0)],
+     "row r: variable index 7 out of range"),
+    (["x"], [Row("r", [(0, 1.0)], "<=", 1.0), Row("r", [(7, 1.0)], "<=", 1.0)],
+     "duplicate row name r"),
+])
+def test_instance_construction_messages(names, rows, message):
+    with pytest.raises(ValueError) as exc:
+        MilpInstance([Variable(name) for name in names], rows)
+    assert str(exc.value) == message
