@@ -234,8 +234,10 @@ def build(instance: MilpInstance, min_clq_size: int = 512) -> ConflictGraph:
     Every row over binary variables is normalized to knapsack form and fed
     to the clique detector; rows touching non-binary variables contribute
     nothing.  Identical output for identical input: all iteration orders
-    are fixed.
+    are fixed.  A negative ``min_clq_size`` raises ``ValueError``.
     """
+    if min_clq_size < 0:
+        raise ValueError(f"min_clq_size must be >= 0, not {min_clq_size!r}")
     n = instance.n_vars
     n_nodes = 2 * n
     store = CliqueStore(adjfirst=[[] for _ in range(n_nodes)],

@@ -15,6 +15,11 @@ for every column, including integer columns.  ``parse_mps`` and
 (sense, entries by column index, rhs) and one per column (index,
 integrality, bounds, last BOUNDS line), so a duplicate entry is a key
 already in its row and crossing bounds name the line that set them last.
+Its line loop splits each line once and skips blank and ``*`` comment
+lines by their tokens.  A data line then costs one section test, COLUMNS
+first as the section with the most lines, and one dict lookup per row or
+column name; the (row, value) pairs of a COLUMNS or RHS line are read by
+token index, in one loop that holds each entry check once.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ class Variable:
         return self.is_integer and self.lower == 0.0 and self.upper == 1.0
 
 
-@dataclass
+@dataclass(slots=True)
 class Row:
     """A linear constraint ``sum coeffs <sense> rhs`` over variable indices."""
 
@@ -256,6 +261,9 @@ def literals_to_row(terms: Iterable[tuple[int, float]], rhs: float,
 
 
 _SECTIONS = {"NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA", "OBJSENSE", "SOS"}
+# The index of each (row, value) pair's row token on a COLUMNS or RHS line,
+# by the line's token count.
+_PAIRS = {3: (1,), 5: (1, 3)}
 
 
 def parse_mps(text: str) -> MilpInstance:
@@ -288,9 +296,9 @@ def parse_mps(text: str) -> MilpInstance:
         return value
 
     for lineno, raw in enumerate(lines, 1):
-        if not raw.strip() or raw.lstrip().startswith("*"):
-            continue
         tokens = raw.split()
+        if not tokens or tokens[0][0] == "*":
+            continue
         if not raw[0].isspace():
             head = tokens[0].upper()
             if head not in _SECTIONS:
@@ -303,61 +311,63 @@ def parse_mps(text: str) -> MilpInstance:
                 break
             else:
                 section = head
+        elif section == "COLUMNS":
+            if "'MARKER'" in tokens:
+                integer_mode = "'INTORG'" in tokens
+                if not integer_mode and "'INTEND'" not in tokens:
+                    raise ParseError(lineno, "marker line without INTORG/INTEND")
+                continue
+            pairs = _PAIRS.get(len(tokens))
+            if pairs is None:
+                raise ParseError(lineno, "COLUMNS line must be '<col> (<row> <value>)+'")
+            j = (cols.get(tokens[0])
+                 or cols.setdefault(tokens[0], [len(cols), integer_mode, 0.0, math.inf, 0]))[0]
+            for k in pairs:
+                value = number(tokens[k + 1], lineno)
+                row = rows.get(tokens[k])
+                if row is None:
+                    raise ParseError(lineno, f"unknown row {tokens[k]!r}")
+                sense, entries, _ = row
+                if sense is not None and math.isinf(value):
+                    raise ParseError(lineno, f"infinite coefficient {tokens[k + 1]!r} for "
+                                             f"column {tokens[0]!r} in row {tokens[k]!r}")
+                if j in entries:
+                    raise ParseError(lineno, f"duplicate entry for column {tokens[0]!r} "
+                                             f"in row {tokens[k]!r}")
+                entries[j] = value
         elif section == "ROWS":
             if len(tokens) != 2:
                 raise ParseError(lineno, "ROWS line must be '<sense> <name>'")
-            sense, rname = tokens[0].upper(), tokens[1]
+            code, rname = tokens[0].upper(), tokens[1]
             if rname in rows:
                 raise ParseError(lineno, f"duplicate row name {rname!r}")
-            if sense != "N" and sense not in _MPS_SENSE:
+            sense = _MPS_SENSE.get(code)
+            if sense is None and code != "N":
                 raise ParseError(lineno, f"unknown row sense {tokens[0]!r}")
-            if sense == "N" and objective_name is None:
+            if sense is None and objective_name is None:
                 objective_name = rname
-            rows[rname] = [_MPS_SENSE.get(sense), {}, None]
-        elif section == "COLUMNS":
-            if "'MARKER'" in tokens:
-                if "'INTORG'" in tokens:
-                    integer_mode = True
-                elif "'INTEND'" in tokens:
-                    integer_mode = False
-                else:
-                    raise ParseError(lineno, "marker line without INTORG/INTEND")
-                continue
-            if len(tokens) not in (3, 5):
-                raise ParseError(lineno, "COLUMNS line must be '<col> (<row> <value>)+'")
-            j = cols.setdefault(tokens[0], [len(cols), integer_mode, 0.0, math.inf, 0])[0]
-            for rname, vtok in zip(tokens[1::2], tokens[2::2]):
-                value = number(vtok, lineno)
-                if rname not in rows:
-                    raise ParseError(lineno, f"unknown row {rname!r}")
-                sense, entries, _ = rows[rname]
-                if sense is not None and math.isinf(value):
-                    raise ParseError(lineno, f"infinite coefficient {vtok!r} for column "
-                                             f"{tokens[0]!r} in row {rname!r}")
-                if j in entries:
-                    raise ParseError(lineno, f"duplicate entry for column {tokens[0]!r} "
-                                             f"in row {rname!r}")
-                entries[j] = value
+            rows[rname] = [sense, {}, None]
         elif section == "RHS":
-            if len(tokens) not in (3, 5):
+            pairs = _PAIRS.get(len(tokens))
+            if pairs is None:
                 raise ParseError(lineno, "RHS line must be '<set> (<row> <value>)+'")
-            for rname, vtok in zip(tokens[1::2], tokens[2::2]):
-                value = number(vtok, lineno)
-                if rname not in rows:
-                    raise ParseError(lineno, f"unknown row {rname!r}")
-                row = rows[rname]
+            for k in pairs:
+                value = number(tokens[k + 1], lineno)
+                row = rows.get(tokens[k])
+                if row is None:
+                    raise ParseError(lineno, f"unknown row {tokens[k]!r}")
                 if row[0] is None:
                     continue
                 if row[2] is not None:
-                    raise ParseError(lineno, f"duplicate rhs for row {rname!r}")
+                    raise ParseError(lineno, f"duplicate rhs for row {tokens[k]!r}")
                 row[2] = value
         elif section == "BOUNDS":
             if len(tokens) < 3:
                 raise ParseError(lineno, "BOUNDS line must be '<type> <set> <col> [value]'")
             btype = tokens[0].upper()
-            if tokens[2] not in cols:
+            col = cols.get(tokens[2])
+            if col is None:
                 raise ParseError(lineno, f"unknown column {tokens[2]!r}")
-            col = cols[tokens[2]]
             col[4] = lineno
             if btype in ("UP", "LO", "FX"):
                 if len(tokens) < 4:
@@ -389,8 +399,9 @@ def parse_mps(text: str) -> MilpInstance:
             objective_name, k = f"OBJ{k}", k + 1
     variables = [Variable(cname, lower, upper, integer, objective.get(j, 0.0))
                  for cname, (j, integer, lower, upper, _) in cols.items()]
-    constraints = [Row(rname, [(j, a) for j, a in entries.items() if a != 0.0], sense,
-                       0.0 if rhs is None else rhs)
+    constraints = [Row(rname, list(entries.items()) if 0.0 not in entries.values()
+                       else [(j, a) for j, a in entries.items() if a != 0.0],
+                       sense, 0.0 if rhs is None else rhs)
                    for rname, (sense, entries, rhs) in rows.items() if sense is not None]
     return MilpInstance(variables, constraints, name=name, objective_name=objective_name)
 

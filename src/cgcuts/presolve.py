@@ -97,8 +97,11 @@ def strengthen(instance: MilpInstance, g: ConflictGraph,
     Equality rows stay out: replacing one with a <= row would lose its >=
     direction.  A row is replaced only when its extension is strict; rows
     whose clique lands inside another row's extension are removed.  Rows
-    already removed are never extended themselves.
+    already removed are never extended themselves.  A negative
+    ``alpha_max`` raises ``ValueError``.
     """
+    if alpha_max < 0:
+        raise ValueError(f"alpha_max must be >= 0, not {alpha_max!r}")
     eligible: list[tuple[int, frozenset[int]]] = []
     for ri, row in enumerate(instance.rows):
         if row.sense == SENSE_EQ or len(row.coeffs) > alpha_max:

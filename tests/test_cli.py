@@ -234,6 +234,37 @@ def test_negative_or_non_finite_min_viol_exits_2(triangle, capsys, min_viol, mes
     assert line.startswith(message)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["stats", "M", "--min-clq-size", "-1"], "error: min_clq_size must be >= 0, not -1\n"),
+    (["strengthen", "M", "--min-clq-size", "-1"], "error: min_clq_size must be >= 0, not -1\n"),
+    (["strengthen", "M", "--alpha-max", "-2"], "error: alpha_max must be >= 0, not -2\n"),
+    (["strengthen", "M", "--alpha-max", "-1", "--min-clq-size", "-1"],
+     "error: min_clq_size must be >= 0, not -1\n"),
+    (["separate", "clique", "M", "P", "--min-clq-size", "-1"],
+     "error: min_clq_size must be >= 0, not -1\n"),
+    (["separate", "oddcycle", "M", "P", "--min-clq-size", "-3"],
+     "error: min_clq_size must be >= 0, not -3\n"),
+], ids=["stats", "strengthen-mcs", "strengthen-alpha", "strengthen-both", "clique", "oddcycle"])
+def test_negative_size_exits_2(triangle, capsys, argv, message):
+    # Both once exited 0: a negative size stored every clique, or
+    # extended no row, without a word.
+    mpath, ppath = triangle
+    argv = [{"M": mpath, "P": ppath}.get(a, a) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", message)
+
+
+def test_zero_sizes_are_accepted(triangle, capsys):
+    mpath, _ = triangle
+    assert main(["stats", mpath, "--min-clq-size", "0"]) == 0
+    assert "cliques detected: 1\n" in capsys.readouterr().out
+    assert main(["strengthen", mpath, "--alpha-max", "0", "--min-clq-size", "0"]) == 0
+    inst = gen.triangle_instance()
+    assert parse_mps(capsys.readouterr().out) == inst
+    with pytest.raises(ValueError, match="^min_clq_size must be >= 0, not -1$"):
+        build(inst, -1)
+
+
 def test_usage_error_missing_point(triangle):
     mpath, _ = triangle
     with pytest.raises(SystemExit) as exc:

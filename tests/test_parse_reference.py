@@ -12,12 +12,12 @@ import math
 import random
 
 from cgcuts import MilpInstance, ParseError, Row, Variable, parse_mps, write_mps
-from cgcuts.model import _MPS_SENSE
 
 import gen
 from test_cli_mutation import KEYWORDS, NUMBERS, _base_models, _mutate
 
 _SECTIONS = {"NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA", "OBJSENSE", "SOS"}
+_MPS_SENSE = {"L": "<=", "G": ">=", "E": "="}
 
 
 def _reference_parse_mps(text: str) -> MilpInstance:
