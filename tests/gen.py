@@ -50,6 +50,33 @@ def strengthen_example_instance() -> MilpInstance:
     return MilpInstance(binary_vars(6), rows, name="CLQSTR")
 
 
+def crossed_clique_instance(rng: random.Random) -> tuple[MilpInstance, list[int], list[int]]:
+    """A knapsack row whose first clique has 20-60 literals, low-coefficient
+    literals that each form a tuple with a suffix of it, pair rows that
+    cross it and set-packing rows inside it.
+
+    In knapsack form the row has rhs 100: clique members weigh 51-100 (any
+    two overload it), tuple literals 20-49 (they pair only with the
+    heaviest members).  About a fifth of the variables enter negated, so
+    their complements are the literals.  Returns the instance and the
+    variable indices of the clique and of the tuple literals.
+    """
+    m, t, extra = rng.randint(20, 60), rng.randint(3, 8), rng.randint(2, 6)
+    n = m + t + extra
+    clique, tuples, other = list(range(m)), list(range(m, m + t)), list(range(m + t, n))
+    coeffs = [(j, float(rng.randint(51, 100))) for j in clique]
+    coeffs += [(j, float(rng.randint(20, 49))) for j in tuples]
+    coeffs = [(j, -a) if rng.random() < 0.2 else (j, a) for j, a in coeffs]
+    rows = [Row("knap", coeffs, "<=", 100.0 + sum(a for _, a in coeffs if a < 0))]
+    pairs = {(rng.choice(clique), rng.choice(tuples + other)) for _ in range(rng.randint(3, 12))}
+    pairs |= {tuple(rng.sample(tuples + other, 2)) for _ in range(rng.randint(2, 8))}
+    rows += pair_rows(sorted(pairs))
+    for i in range(rng.randint(2, 6)):
+        support = rng.sample(clique, rng.randint(2, 5))
+        rows.append(Row(f"p{i}", [(j, 1.0) for j in support], "<=", 1.0))
+    return MilpInstance(binary_vars(n), rows, name="CROSSED"), clique, tuples
+
+
 def pair_rows(pairs: list[tuple[int, int]], offset: int = 0) -> list[Row]:
     return [
         Row(f"e{offset + i}", [(a, 1.0), (b, 1.0)], "<=", 1.0)

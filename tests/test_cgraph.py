@@ -364,3 +364,53 @@ def test_greedy_extend_matches_pairwise_loop():
     kinds = ("tuples", "stored first cliques", "pairwise entries", "bk cliques",
              "non-clique cycles")
     assert all(covered[k] >= 10 for k in kinds), covered
+
+
+def test_degree_counts_neighbors_without_caching():
+    rng = random.Random(28)
+    instances = [gen.tuple_store_instance(), gen.knapsack_example_instance()]
+    instances += [gen.crossed_clique_instance(rng)[0] for _ in range(8)]
+    instances += [gen.random_binary_instance(rng, n_vars=rng.randint(4, 12)) for _ in range(12)]
+    kept = Counter()
+    for inst in instances:
+        for mcs in (0, 1, 2, 4, 512):
+            g = build(inst, mcs)
+            kept[mcs] += len(g.store.addtl)
+            degrees = [g.degree(a) for a in range(g.n_nodes)]
+            assert not g._nbrs
+            assert degrees == [len(g.neighbors(a)) for a in range(g.n_nodes)]
+    assert all(kept[mcs] > 0 for mcs in (0, 1, 2, 4)), kept
+
+
+def test_greedy_extend_matches_pairwise_loop_across_a_stored_clique():
+    """Seeds inside a stored first clique, extended past tuple literals and
+    pair rows that cross it; under the cost key the tuple literals come
+    first, so an outsider joins before the clique's members do."""
+    rng = random.Random(29)
+    covered = Counter()
+    for _ in range(12):
+        inst, clique, tuples = gen.crossed_clique_instance(rng)
+        n = inst.n_vars
+        values = {j: rng.choice([0.0, 0.2, 0.5, 0.8, 1.0]) for j in range(n)}
+        costs = {j: float(rng.randint(0, 3)) for j in range(n)}
+        costs.update({j: -5.0 for j in tuples})
+        by_cost, by_value = FractionalPoint(values, costs), FractionalPoint(values)
+        tuple_lits = set(tuples) | {j + n for j in tuples}
+        for mcs in (0, 4, 16):
+            g = build(inst, mcs)
+            covered["stored tuples"] += bool(g.store.addtl)
+            [first, *_] = g.store.first
+            seeds = [[v] for v in first[::5]]
+            seeds += [rng.sample(first, rng.randint(2, 5)) for _ in range(6)]
+            seeds += [[lit, *first[l - 1:][:2]] for lit, _, l in g.store.addtl]
+            keys = [lambda v: (-g.degree(v), v),
+                    candidate_order_key(by_cost, n),
+                    candidate_order_key(by_value, n)]
+            for seed in seeds:
+                for key in keys:
+                    ext = greedy_extend(g, seed, key)
+                    assert ext == _pairwise_extend(g, seed, key), (mcs, seed)
+                    if ext & tuple_lits and len(ext - tuple_lits) > len(seed):
+                        covered["outsider and clique members joined"] += 1
+    assert covered["stored tuples"] >= 12, covered
+    assert covered["outsider and clique members joined"] >= 20, covered

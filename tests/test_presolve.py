@@ -360,3 +360,31 @@ def test_strengthen_matches_full_scan_reference_on_pair_rows():
     inst = MilpInstance(gen.binary_vars(400), gen.pair_rows(sorted(pairs)))
     report = _assert_matches_reference(inst, build(inst))
     assert report.extended and report.removed_rows
+
+
+def _reference_extend_clique(g, clique):
+    """Each common neighbor in order of its cached neighbor count joins if
+    it conflicts with every literal accepted so far."""
+    ext = set(clique)
+    common = set.intersection(*(set(g.neighbors(v)) for v in ext))
+    for lit in sorted(common, key=lambda v: (-len(g.neighbors(v)), v)):
+        if all(g.conflicting(lit, m) for m in ext):
+            ext.add(lit)
+    return frozenset(ext)
+
+
+def test_strengthen_across_a_stored_clique_matches_reference():
+    rng = random.Random(31)
+    totals = Counter()
+    for _ in range(12):
+        inst = gen.crossed_clique_instance(rng)[0]
+        for mcs in (0, 4, 16):
+            g = build(inst, mcs)
+            report = _assert_matches_reference(inst, g)
+            totals["extended"] += len(report.extended)
+            totals["removed"] += len(report.removed_rows)
+            for row in inst.rows:
+                clique = _set_packing_literals(row, inst)
+                if clique is not None:
+                    assert extend_clique(g, clique) == _reference_extend_clique(g, clique)
+    assert totals["extended"] >= 30 and totals["removed"] >= 10, totals
