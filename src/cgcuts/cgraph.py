@@ -10,18 +10,24 @@ keeps the loop out of quadratic territory.
 
 ``build`` stores or dissolves each clique as soon as it is detected: a
 clique of at most ``min_clq_size`` members becomes plain pairwise
-adjacency entries, a larger one stays in the tuple store.  One walk over the
-adjacency lists and the clique indices lists the literals conflicting with
-one literal, so the split is invisible to callers.  Only ``neighbors``
-caches, a sorted tuple per literal, for the readers that ask again and
-again: ``conflicting``, ``greedy_extend``, the clique separator and the
-presolve order.  ``conflicts_among`` and ``degree`` walk afresh and
-fill no cache, so counting the edges of a stored k-literal clique holds
-one member's neighbors at a time, not k of them.  The trivial
-conflict between a literal and its complement is never stored and always
-reported.
+adjacency entries, a larger one stays in the tuple store.  One walk over
+the adjacency lists and the clique indices gives a literal's conflicts as
+a small pairwise part plus the stored cliques and tuple suffixes that
+hold it, so the split is invisible to callers.
 
-``greedy_extend`` grows a set of literals by intersecting neighbor lists;
+Three readers take those stored blocks whole and fill no neighbor cache:
+``degree`` counts a literal in one block from the block's size,
+``conflicts_among`` reads each stored clique once per call, and
+``greedy_extend`` tests only the candidates outside a stored clique that
+holds its whole seed.  Counting the edges of a stored k-literal clique or
+extending a row inside it thus costs O(k), not O(k^2).  ``neighbors``
+expands the blocks and caches a sorted tuple per literal, for the readers
+that ask again and again: ``conflicting``, the clique separator's
+subgraph, the seed members of an extension and each joining literal that
+lies in no stored block.  The trivial conflict between a literal and its
+complement is never stored and always reported.
+
+``greedy_extend`` grows a set of literals by intersecting conflicts;
 clique strengthening, clique-cut extension and odd-wheel lifting all call
 it with their own candidate order.
 """
@@ -118,14 +124,15 @@ class CliqueStore:
 
 @dataclass
 class ConflictGraph:
-    """Immutable once built; safe for concurrent readers (the neighbor
-    cache only memoizes already-derivable answers)."""
+    """Immutable once built; safe for concurrent readers (the neighbor and
+    member-position caches only memoize already-derivable answers)."""
 
     n_vars: int
     store: CliqueStore
     adjlist: list[list[int]]
     cliques_detected: int = 0
     _nbrs: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False, compare=False)
+    _pos: dict[int, dict[int, int]] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -143,46 +150,107 @@ class ConflictGraph:
     def neighbors(self, a: int) -> tuple[int, ...]:
         """All literals conflicting with a, sorted; always includes the
         complement.  The one query that fills the cache: ``conflicting``,
-        ``greedy_extend``, the clique separator and the presolve order read
-        the same literals again and again."""
+        the clique separator and the extension of pairwise-only literals
+        read the same literals again and again."""
         cached = self._nbrs.get(a)
         if cached is not None:
             return cached
-        result = tuple(sorted(self._walk(a)))
+        result = tuple(sorted(self._union(a, *self._parts(a))))
         self._nbrs[a] = result
         return result
 
-    def conflicts_among(self, lits: Iterable[int]) -> dict[int, list[int]]:
-        """For each literal of ``lits``, the sorted literals of ``lits``
-        conflicting with it.  Fills no cache."""
-        within = set(lits)
-        return {a: sorted(within.intersection(self._walk(a))) for a in within}
-
-    def _walk(self, a: int) -> set[int]:
+    def _parts(self, a: int) -> tuple[set[int], list[tuple[int, int]]]:
         """The one walk over the adjacency lists and the clique indices:
-        the literals conflicting with a.  A tuple's suffix is read only by
-        its outside literal."""
+        the literals conflicting with a as a small pairwise part plus the
+        stored blocks that hold them.  A block (c, s) stands for
+        ``first[c][s:]``: s is 0 for a stored clique holding a, and the
+        suffix start for a tuple whose outside literal is a.  The small
+        part holds a's adjacency list, its complement and the outside
+        literal of each tuple whose suffix holds a; it never holds a.
+        A suffix member reaches the rest of the suffix through first[c],
+        which is stored whenever the tuple is."""
         st = self.store
-        s = set(self.adjlist[a])
-        s.add(self.complement(a))
-        for c in st.adjfirst[a]:
-            s.update(st.first[c])
+        small = set(self.adjlist[a])
+        small.add(self.complement(a))
+        blocks = [(c, 0) for c in st.adjfirst[a]]
         for t in st.adjaddtl[a]:
             lit, c, l = st.addtl[t]
             if lit == a:  # the one holder that reads the suffix
-                s.update(st.first[c][l - 1:])
+                blocks.append((c, l - 1))
             else:
-                # A suffix member reaches the rest of the suffix through
-                # first[c], which is stored whenever the tuple is.
-                s.add(lit)
-        s.discard(a)
-        return s
+                small.add(lit)
+        return small, blocks
+
+    def _union(self, a: int, small: set[int], blocks: list[tuple[int, int]]) -> set[int]:
+        """``small`` grown by the members of ``blocks``, less a."""
+        first = self.store.first
+        for c, s in blocks:
+            small.update(first[c][s:])
+        small.discard(a)
+        return small
+
+    def _members(self, c: int) -> dict[int, int]:
+        """Each member of the stored clique c with its position in
+        ``first[c]``; built once per clique on first use."""
+        pos = self._pos.get(c)
+        if pos is None:
+            pos = self._pos[c] = {v: i for i, v in enumerate(self.store.first[c])}
+        return pos
 
     def degree(self, a: int) -> int:
         """Number of literals conflicting with a, complement included.
-        Fills no cache, so counting every degree holds one literal's
-        neighbors at a time."""
-        return len(self._walk(a))
+        Fills no neighbor cache: a literal in one stored block counts the
+        block's members other than itself plus the members of its small
+        part outside the block."""
+        st = self.store
+        if not (st.adjfirst[a] or st.adjaddtl[a]):
+            # A row names each variable once, so no adjacency list holds
+            # its literal's complement.
+            return len(self.adjlist[a]) + 1
+        small, blocks = self._parts(a)
+        if len(blocks) != 1:
+            return len(self._union(a, small, blocks))
+        [(c, s)] = blocks
+        pos = self._members(c)
+        outside = (len(small.difference(pos)) if s == 0
+                   else sum(pos.get(v, -1) < s for v in small))
+        return len(st.first[c]) - s - (a in pos) + outside
+
+    def conflicts_among(self, lits: Iterable[int]) -> dict[int, list[int]]:
+        """For each literal of ``lits``, the sorted literals of ``lits``
+        conflicting with it.  Fills no neighbor cache, and reads each
+        stored clique once per call: the positions of its members in
+        ``lits``, from which every block keeps the positions past its
+        start."""
+        within = set(lits)
+        first = self.store.first
+        active: dict[int, list[int]] = {}
+        out = {}
+        for a in within:
+            small, blocks = self._parts(a)
+            near = within.intersection(small)
+            for c, s in blocks:
+                at = active.get(c)
+                if at is None:
+                    at = active[c] = [i for i, v in enumerate(first[c]) if v in within]
+                near.update(first[c][i] for i in at[bisect.bisect_left(at, s):])
+            near.discard(a)
+            out[a] = sorted(near)
+        return out
+
+    def _conflicting_in(self, a: int, cands: set[int]) -> set[int]:
+        """The members of ``cands`` conflicting with a.  A literal in no
+        stored clique and no tuple reads its cached neighbors; any other
+        tests each candidate against its small part and its blocks."""
+        st = self.store
+        if not cands:
+            return cands
+        if not (st.adjfirst[a] or st.adjaddtl[a]):
+            return cands.intersection(self.neighbors(a))
+        small, blocks = self._parts(a)
+        held = [(self._members(c), s) for c, s in blocks]
+        return {v for v in cands if v != a and (
+            v in small or any(pos.get(v, -1) >= s for pos, s in held))}
 
     def dump(self, instance: MilpInstance) -> str:
         """Debug listing: stored cliques, tuples and adjacency lists."""
@@ -212,6 +280,12 @@ def greedy_extend(g: ConflictGraph, seed: Iterable[int],
     so the result does not depend on set iteration order.  A caller that
     already knows the common neighborhood (or the part of it that can
     join) passes it as ``common``.
+
+    When one stored clique holds the whole seed, the candidates inside it
+    conflict with the seed and with every literal of it that joins, so
+    such a join tests only the candidates outside it: extending a seed
+    inside a stored k-clique costs O(k), not O(k^2), and caches only the
+    seed members' neighbors.
     """
     ext = set(seed)
     if not ext:
@@ -219,12 +293,20 @@ def greedy_extend(g: ConflictGraph, seed: Iterable[int],
     if common is None:
         nbrs = sorted((g.neighbors(m) for m in ext), key=len)
         common = set(nbrs[0]).intersection(*nbrs[1:])
-    else:
-        common = set(common)
+    adjfirst = g.store.adjfirst
+    held = set(adjfirst[min(ext)]).intersection(*(adjfirst[m] for m in ext))
+    anchor = g._members(min(held)) if held else {}
+    inside = anchor.keys() & common
+    outside = set(common) - inside
     for lit in sorted(common, key=order_key):
-        if lit in common:
-            ext.add(lit)
-            common.intersection_update(g.neighbors(lit))
+        if lit in inside:
+            inside.discard(lit)
+        elif lit in outside:
+            inside = g._conflicting_in(lit, inside)
+        else:
+            continue
+        ext.add(lit)
+        outside = g._conflicting_in(lit, outside)
     return frozenset(ext)
 
 

@@ -7,7 +7,9 @@ for x_j, id j + n for the complement.
 
 Supported MPS subset: sections NAME, ROWS (N/L/G/E), COLUMNS (with
 ``'MARKER'`` ``'INTORG'``/``'INTEND'`` toggles), RHS, BOUNDS (UP, LO, FX,
-BV, MI) and ENDATA.  Section headers start in column one, data lines are
+BV, MI) and ENDATA.  A COLUMNS line is a marker line when its second
+token is ``'MARKER'``; any other line is a data line, even one that holds
+``'MARKER'`` elsewhere.  Section headers start in column one, data lines are
 indented; tokens are whitespace-separated, so fixed- and free-format files
 both parse.  RANGES and SOS are rejected.  Default bounds are [0, +inf)
 for every column, including integer columns.  ``parse_mps`` and
@@ -312,7 +314,7 @@ def parse_mps(text: str) -> MilpInstance:
             else:
                 section = head
         elif section == "COLUMNS":
-            if "'MARKER'" in tokens:
+            if len(tokens) > 1 and tokens[1] == "'MARKER'":
                 integer_mode = "'INTORG'" in tokens
                 if not integer_mode and "'INTEND'" not in tokens:
                     raise ParseError(lineno, "marker line without INTORG/INTEND")

@@ -47,7 +47,10 @@ def extend_clique(g: ConflictGraph, clique: Iterable[int]) -> frozenset[int]:
 
     Literals conflicting with every member are visited by descending
     degree (ties by node id); each joins only if it conflicts with
-    everything accepted so far.
+    everything accepted so far.  The degree is ``ConflictGraph.degree``,
+    an exact count that takes a stored clique whole and caches nothing,
+    so ordering the members of a stored k-clique costs O(k), not k
+    neighbor lists of k literals each.
     """
     c = frozenset(clique)
     members = sorted(c)
@@ -55,8 +58,7 @@ def extend_clique(g: ConflictGraph, clique: Iterable[int]) -> frozenset[int]:
         for v in members[i + 1:]:
             if not g.conflicting(u, v):
                 raise ValueError(f"input is not a clique: {u} and {v} do not conflict")
-    # Degree as the cached neighbor count: greedy_extend reads the same lists.
-    return greedy_extend(g, c, lambda v: (-len(g.neighbors(v)), v))
+    return greedy_extend(g, c, lambda v: (-g.degree(v), v))
 
 
 def _set_packing_literals(row: Row, instance: MilpInstance) -> frozenset[int] | None:

@@ -520,19 +520,23 @@ def test_parse_lowercase_senses_bound_codes_and_headers():
         assert str(exc.value) == message
 
 
-def test_parse_marker_token_anywhere_on_the_line():
-    # Any 'MARKER' token makes a marker line; 'INTORG' or 'INTEND' may be
-    # any other token.
+def test_parse_marker_line_is_named_by_its_second_token():
+    # A line is a marker line iff its second token is 'MARKER'; 'INTORG' or
+    # 'INTEND' may be any other token.
     text = MINIMAL_MPS.replace(
         "    MARKER                 'MARKER'                 'INTORG'",
-        "    'INTORG' 'MARKER'").replace(_INTEND, "    'MARKER' M 'INTEND'")
+        "    'INTORG' 'MARKER'").replace(_INTEND, "    M 'MARKER' 'INTEND'")
     assert parse_mps(text) == _MINIMAL
-    text = MINIMAL_MPS.replace(_INTEND, "    x3 OBJ 1.0 'MARKER' 'INTEND'\n    x4 c1 1.0")
-    inst = parse_mps(text.replace(" BV BND x2", " BV BND x2\n UP BND x4 1"))
-    assert [v.name for v in inst.variables] == ["x1", "x2", "x4"]  # no x3
-    assert [v.is_binary for v in inst.variables] == [True, True, False]
     with pytest.raises(ParseError, match=r"^line 7: marker line without INTORG/INTEND$"):
         parse_mps(MINIMAL_MPS.replace("    x1 c1 1.0", "    x1 'MARKER' 1.0"))
+    # Any other line holding 'MARKER' is a data line and fails as one,
+    # rather than toggling integer mode and dropping its entries.
+    for line, message in [("    x3 OBJ 1.0 'MARKER' 'INTEND'", "bad numeric value \"'INTEND'\""),
+                          ("    'MARKER' M 'INTEND'", "bad numeric value \"'INTEND'\""),
+                          ("    x3 c1 1.0 'MARKER' 1.0", "unknown row \"'MARKER'\"")]:
+        with pytest.raises(ParseError) as exc:
+            parse_mps(MINIMAL_MPS.replace(_INTEND, line + "\n" + _INTEND))
+        assert str(exc.value) == f"line 9: {message}"
 
 
 def test_parse_five_token_columns_and_rhs_lines():

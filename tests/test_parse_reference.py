@@ -79,7 +79,7 @@ def _reference_parse_mps(text: str) -> MilpInstance:
                 objective_name = rname
             rows[rname] = [_MPS_SENSE.get(sense), {}, None]
         elif section == "COLUMNS":
-            if "'MARKER'" in tokens:
+            if len(tokens) > 1 and tokens[1] == "'MARKER'":
                 if "'INTORG'" in tokens:
                     integer_mode = True
                 elif "'INTEND'" in tokens:

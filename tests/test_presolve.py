@@ -388,3 +388,25 @@ def test_strengthen_across_a_stored_clique_matches_reference():
                 if clique is not None:
                     assert extend_clique(g, clique) == _reference_extend_clique(g, clique)
     assert totals["extended"] >= 30 and totals["removed"] >= 10, totals
+
+
+def test_strengthen_inside_a_stored_row_keeps_the_cache_linear():
+    # Extending a four-literal row inside the stored 2,000-literal row takes
+    # the row whole: only the seed's own neighbor lists are cached, not one
+    # per member (about k^2 entries), and a member that joins tests only the
+    # candidates outside the row, not all of them (about k^2 tests).
+    k = 2000
+    rng = random.Random(32)
+    rows = [Row("big", [(j, 1.0) for j in range(k)], "<=", 1.0)]
+    rows += [Row(f"p{i}", [(j, 1.0) for j in sorted(rng.sample(range(k), 4))], "<=", 1.0)
+             for i in range(20)]
+    inst = MilpInstance(gen.binary_vars(k), rows)
+    g = build(inst)
+    tested = []
+    conflicting_in = g._conflicting_in
+    g._conflicting_in = lambda a, cands: tested.append(len(cands)) or conflicting_in(a, cands)
+    report = strengthen(inst, g)
+    assert report.extended == [(1, k - 4)]
+    assert report.removed_rows == list(range(2, 21))
+    assert sum(map(len, g._nbrs.values())) <= 10 * k
+    assert sum(tested) <= 10 * k
