@@ -238,6 +238,15 @@ class ConflictGraph:
             out[a] = sorted(near)
         return out
 
+    def _holder(self, lits: set[int]) -> dict[int, int]:
+        """The members of the first stored clique that holds every literal
+        of ``lits``, with their positions; empty when no clique does."""
+        adjfirst = self.store.adjfirst
+        held = adjfirst[min(lits)]
+        if held:
+            held = set(held).intersection(*(adjfirst[v] for v in lits))
+        return self._members(min(held)) if held else {}
+
     def _conflicting_in(self, a: int, cands: set[int]) -> set[int]:
         """The members of ``cands`` conflicting with a.  A literal in no
         stored clique and no tuple reads its cached neighbors; any other
@@ -292,17 +301,17 @@ def greedy_extend(g: ConflictGraph, seed: Iterable[int],
         return frozenset()
     if common is None:
         nbrs = sorted((g.neighbors(m) for m in ext), key=len)
-        common = set(nbrs[0]).intersection(*nbrs[1:])
-    adjfirst = g.store.adjfirst
-    held = set(adjfirst[min(ext)]).intersection(*(adjfirst[m] for m in ext))
-    anchor = g._members(min(held)) if held else {}
-    inside = anchor.keys() & common
-    outside = set(common) - inside
-    for lit in sorted(common, key=order_key):
-        if lit in inside:
-            inside.discard(lit)
-        elif lit in outside:
+        outside = set(nbrs[0]).intersection(*nbrs[1:])
+    else:
+        outside = set(common)
+    order = sorted(outside, key=order_key)
+    inside = g._holder(ext).keys() & outside
+    outside -= inside
+    for lit in order:
+        if lit in outside:
             inside = g._conflicting_in(lit, inside)
+        elif lit in inside:
+            inside.discard(lit)
         else:
             continue
         ext.add(lit)
