@@ -185,7 +185,7 @@ class ConflictGraph:
         """``small`` grown by the members of ``blocks``, less a."""
         first = self.store.first
         for c, s in blocks:
-            small.update(first[c][s:])
+            small.update(first[c][s:] if s else first[c])
         small.discard(a)
         return small
 
@@ -202,19 +202,14 @@ class ConflictGraph:
         Fills no neighbor cache: a literal in one stored block counts the
         block's members other than itself plus the members of its small
         part outside the block."""
-        st = self.store
-        if not (st.adjfirst[a] or st.adjaddtl[a]):
-            # A row names each variable once, so no adjacency list holds
-            # its literal's complement.
-            return len(self.adjlist[a]) + 1
         small, blocks = self._parts(a)
         if len(blocks) != 1:
             return len(self._union(a, small, blocks))
         [(c, s)] = blocks
         pos = self._members(c)
-        outside = (len(small.difference(pos)) if s == 0
-                   else sum(pos.get(v, -1) < s for v in small))
-        return len(st.first[c]) - s - (a in pos) + outside
+        # first[c][s:] holds a only when it is a's own stored clique (s == 0).
+        return (len(self.store.first[c]) - s - (s == 0)
+                + sum(pos.get(v, -1) < s for v in small))
 
     def conflicts_among(self, lits: Iterable[int]) -> dict[int, list[int]]:
         """For each literal of ``lits``, the sorted literals of ``lits``

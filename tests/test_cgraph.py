@@ -176,9 +176,16 @@ def test_neighbors_contains_clique_and_complement():
 
 def test_neighbors_symmetry_and_oracle_equivalence():
     rng = random.Random(23)
-    for _ in range(50):
-        inst = gen.random_binary_instance(rng, n_vars=rng.randint(2, 12))
-        g = build(inst, min_clq_size=rng.choice([0, 2, 512]))
+    cases = [(gen.random_binary_instance(rng, n_vars=rng.randint(2, 12)),
+              rng.choice([0, 2, 512])) for _ in range(50)]
+    crossed = random.Random(28)
+    for inst in [gen.tuple_store_instance(), gen.knapsack_example_instance(),
+                 *(gen.crossed_clique_instance(crossed)[0] for _ in range(8))]:
+        cases += [(inst, mcs) for mcs in (0, 1, 2, 4, 512)]
+    kept = Counter()
+    for inst, mcs in cases:
+        g = build(inst, min_clq_size=mcs)
+        kept[mcs] += len(g.store.addtl)
         probe = probe_pairs(inst)
         assert gen.edge_set(g) == probe.edges
         degrees = [g.degree(a) for a in range(g.n_nodes)]
@@ -191,6 +198,7 @@ def test_neighbors_symmetry_and_oracle_equivalence():
             for b in range(g.n_nodes):
                 expect = b == g.complement(a) or frozenset((a, b)) in probe.edges
                 assert g.conflicting(a, b) == expect
+    assert all(kept[mcs] > 0 for mcs in (0, 1, 2, 4)), kept
 
 
 def test_storage_transparency():
@@ -364,22 +372,6 @@ def test_greedy_extend_matches_pairwise_loop():
     kinds = ("tuples", "stored first cliques", "pairwise entries", "bk cliques",
              "non-clique cycles")
     assert all(covered[k] >= 10 for k in kinds), covered
-
-
-def test_degree_counts_neighbors_without_caching():
-    rng = random.Random(28)
-    instances = [gen.tuple_store_instance(), gen.knapsack_example_instance()]
-    instances += [gen.crossed_clique_instance(rng)[0] for _ in range(8)]
-    instances += [gen.random_binary_instance(rng, n_vars=rng.randint(4, 12)) for _ in range(12)]
-    kept = Counter()
-    for inst in instances:
-        for mcs in (0, 1, 2, 4, 512):
-            g = build(inst, mcs)
-            kept[mcs] += len(g.store.addtl)
-            degrees = [g.degree(a) for a in range(g.n_nodes)]
-            assert not g._nbrs
-            assert degrees == [len(g.neighbors(a)) for a in range(g.n_nodes)]
-    assert all(kept[mcs] > 0 for mcs in (0, 1, 2, 4)), kept
 
 
 def test_greedy_extend_matches_pairwise_loop_across_a_stored_clique():
