@@ -207,9 +207,10 @@ class ConflictGraph:
             return len(self._union(a, small, blocks))
         [(c, s)] = blocks
         pos = self._members(c)
+        outside = (len(small.difference(pos)) if s == 0
+                   else sum(pos.get(v, -1) < s for v in small))
         # first[c][s:] holds a only when it is a's own stored clique (s == 0).
-        return (len(self.store.first[c]) - s - (s == 0)
-                + sum(pos.get(v, -1) < s for v in small))
+        return len(self.store.first[c]) - s - (s == 0) + outside
 
     def conflicts_among(self, lits: Iterable[int]) -> dict[int, list[int]]:
         """For each literal of ``lits``, the sorted literals of ``lits``
