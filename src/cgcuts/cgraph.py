@@ -9,8 +9,12 @@ boundary, keyed by the pair-sum test.  Those extra cliques are kept as
 keeps the loop out of quadratic territory.
 
 ``build`` stores or dissolves each clique as soon as it is detected: a
-clique of at most ``min_clq_size`` members becomes plain pairwise
-adjacency entries, a larger one stays in the tuple store.  One walk over
+clique of more than ``min_clq_size`` members stays in the tuple store, a
+smaller one is filed under each of its members (a dissolved tuple files
+its suffix under its outside literal, and that literal under each suffix
+member).  Once the rows are read, each literal's filed cliques are
+expanded, once, into its sorted pairwise adjacency list, so only one
+literal's expansion is held beside the graph.  One walk over
 the adjacency lists and the clique indices gives a literal's conflicts as
 a small pairwise part plus the stored cliques and tuple suffixes that
 hold it, so the split is invisible to callers.
@@ -320,8 +324,11 @@ def build(instance: MilpInstance, min_clq_size: int = 512) -> ConflictGraph:
 
     Every row over binary variables is normalized to knapsack form and fed
     to the clique detector; rows touching non-binary variables contribute
-    nothing.  Identical output for identical input: all iteration orders
-    are fixed.  A negative ``min_clq_size`` raises ``ValueError``.
+    nothing.  A clique of more than ``min_clq_size`` members is stored; a
+    smaller one is filed under its members and, after the last row, each
+    literal's adjacency list is expanded once from what it holds.
+    Identical output for identical input: all iteration orders are fixed.
+    A negative ``min_clq_size`` raises ``ValueError``.
     """
     if min_clq_size < 0:
         raise ValueError(f"min_clq_size must be >= 0, not {min_clq_size!r}")
@@ -329,7 +336,10 @@ def build(instance: MilpInstance, min_clq_size: int = 512) -> ConflictGraph:
     n_nodes = 2 * n
     store = CliqueStore(adjfirst=[[] for _ in range(n_nodes)],
                         adjaddtl=[[] for _ in range(n_nodes)])
-    pair_sets: list[set[int]] = [set() for _ in range(n_nodes)]
+    # The dissolved cliques, tuple suffixes and tuple literals that hold
+    # each literal, filed as the rows are read.  At the end each literal's
+    # list is expanded once and replaced by its sorted adjacency list.
+    filed: list[list] = [[] for _ in range(n_nodes)]
     detected = 0
 
     for row in instance.rows:
@@ -343,26 +353,26 @@ def build(instance: MilpInstance, min_clq_size: int = 512) -> ConflictGraph:
             stored = len(initial) > min_clq_size
             store.first.append(initial)
             store.first_stored.append(stored)
+            index, entry = (store.adjfirst, c) if stored else (filed, initial)
             for v in initial:
-                if stored:
-                    store.adjfirst[v].append(c)
-                else:
-                    pair_sets[v].update(initial)  # v itself is dropped below
+                index[v].append(entry)
             for lit, l in rc.addtl:
                 suffix = initial[l - 1:]
                 if len(suffix) + 1 > min_clq_size:
-                    t = len(store.addtl)
+                    index, entry = store.adjaddtl, len(store.addtl)
                     store.addtl.append((lit, c, l))
-                    for v in (lit, *suffix):
-                        store.adjaddtl[v].append(t)
+                    index[lit].append(entry)
                 else:
                     # Suffix-internal pairs are covered by ``initial``;
                     # only the outside literal needs new edges.
-                    pair_sets[lit].update(suffix)
-                    for v in suffix:
-                        pair_sets[v].add(lit)
+                    index, entry = filed, (lit,)
+                    filed[lit].append(suffix)
+                for v in suffix:
+                    index[v].append(entry)
 
-    for v, s in enumerate(pair_sets):
-        s.discard(v)
-    adjlist = [sorted(s) for s in pair_sets]
-    return ConflictGraph(n, store, adjlist, detected)
+    union = set().union  # a new set of the members of its arguments
+    for v, held in enumerate(filed):
+        near = union(*held)
+        near.discard(v)
+        filed[v] = sorted(near)
+    return ConflictGraph(n, store, filed, detected)

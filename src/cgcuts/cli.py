@@ -78,8 +78,9 @@ def cmd_stats(args) -> int:
 
 def cmd_strengthen(args) -> int:
     instance = _load_model(args.model)
-    g = build(instance, args.min_clq_size)
-    report = strengthen(instance, g, args.alpha_max)
+    # No name holds the graph, so it and its neighbor cache are freed
+    # before the rewritten model is written.
+    report = strengthen(instance, build(instance, args.min_clq_size), args.alpha_max)
     _emit(write_mps(report.instance), args.out)
     added = sum(k for _, k in report.extended)
     print(

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 from cgcuts import (
@@ -288,6 +289,84 @@ def test_keep_dissolve_boundary():
         assert g.store.first_stored == first_stored, min_clq_size
         assert g.store.addtl == addtl, min_clq_size
         assert gen.edge_set(g) == gen.edge_set(build(inst, 0))
+
+
+def _reference_build(inst, min_clq_size):
+    """``build`` with the set-based pairwise expansion: one set per literal
+    takes every pair of each dissolved first clique and the outside literal
+    x suffix of each dissolved tuple.  Returns the graph's fields."""
+    n_nodes = 2 * inst.n_vars
+    first, first_stored, addtl = [], [], []
+    adjfirst = [[] for _ in range(n_nodes)]
+    adjaddtl = [[] for _ in range(n_nodes)]
+    pair_sets = [set() for _ in range(n_nodes)]
+    detected = 0
+    for krow in gen.all_knapsack_rows(inst):
+        rc = detect_cliques_compressed(krow)
+        if not rc.initial:
+            continue
+        detected += 1 + len(rc.addtl)
+        c = len(first)
+        stored = len(rc.initial) > min_clq_size
+        first.append(rc.initial)
+        first_stored.append(stored)
+        for v in rc.initial:
+            if stored:
+                adjfirst[v].append(c)
+            else:
+                pair_sets[v].update(rc.initial)
+        for lit, l in rc.addtl:
+            suffix = rc.initial[l - 1:]
+            if len(suffix) + 1 > min_clq_size:
+                for v in (lit, *suffix):
+                    adjaddtl[v].append(len(addtl))
+                addtl.append((lit, c, l))
+            else:
+                pair_sets[lit].update(suffix)
+                for v in suffix:
+                    pair_sets[v].add(lit)
+    adjlist = [sorted(s - {v}) for v, s in enumerate(pair_sets)]
+    return adjlist, first, first_stored, addtl, adjfirst, adjaddtl, detected
+
+
+def test_build_matches_set_based_pairwise_expansion():
+    rng = random.Random(29)
+    models = [gen.random_binary_instance(rng, n_vars=rng.randint(2, 14)) for _ in range(40)]
+    models += [gen.crossed_clique_instance(rng)[0] for _ in range(6)]
+    models.append(gen.tuple_store_instance())
+    senses = Counter(row.sense for inst in models for row in inst.rows)
+    assert senses["<="] and senses[">="] and senses["="], senses
+    assert any(a < 0 for inst in models for row in inst.rows for _, a in row.coeffs)
+    dissolved = Counter()
+    for inst in models:
+        for mcs in (0, 2, 3, 4, 512):
+            g = build(inst, mcs)
+            st = g.store
+            got = (g.adjlist, st.first, st.first_stored, st.addtl, st.adjfirst,
+                   st.adjaddtl, g.cliques_detected)
+            assert got == _reference_build(inst, mcs), mcs
+            dissolved["first", mcs] += st.first_stored.count(False)
+            dissolved["tuples", mcs] += g.cliques_detected - len(st.first) - len(st.addtl)
+    # Every size above 0 dissolves some first cliques and some tuples.
+    assert all(dissolved[kind, mcs] > 0 for kind in ("first", "tuples")
+               for mcs in (2, 3, 4, 512)), dissolved
+
+
+def test_build_of_a_dissolved_row_peaks_near_its_graph_size():
+    # A 512-literal set-packing row is dissolved at the default size.  The
+    # expansion holds one literal's conflicts at a time beside the graph it
+    # returns, so build's traced peak stays close to the graph's size.
+    k = 512
+    inst = MilpInstance(gen.binary_vars(k), [Row("pack", [(j, 1.0) for j in range(k)], "<=", 1.0)])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = build(inst)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.store.first_stored == [False]
+    assert peak - base <= 1.5 * (size - base), (peak - base, size - base)
 
 
 def test_dump_format():
