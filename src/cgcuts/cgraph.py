@@ -11,25 +11,28 @@ keeps the loop out of quadratic territory.
 ``build`` stores or dissolves each clique as soon as it is detected: a
 clique of more than ``min_clq_size`` members stays in the tuple store, a
 smaller one is filed under each of its members (a dissolved tuple files
-its suffix under its outside literal, and that literal under each suffix
-member).  Once the rows are read, each literal's filed cliques are
-expanded, once, into its sorted pairwise adjacency list, so only one
-literal's expansion is held beside the graph.  One walk over
-the adjacency lists and the clique indices gives a literal's conflicts as
-a small pairwise part plus the stored cliques and tuple suffixes that
-hold it, so the split is invisible to callers.
+its suffix under its outside literal).  Every tuple, stored or dissolved,
+files its outside literal under each suffix member.  Once the rows are
+read, each literal's filed cliques are expanded, once, into its sorted
+pairwise adjacency list, so only one literal's expansion is held beside
+the graph.  Each literal also keeps one list of the stored blocks whose
+members all conflict with it: its stored cliques and the suffix of each
+stored tuple it is the outside literal of.  A literal's conflicts are its
+complement, its adjacency list and its blocks' members, so the split is
+invisible to callers.
 
-Three readers take those stored blocks whole and fill no neighbor cache:
+Three readers take the blocks whole and fill no neighbor cache:
 ``degree`` counts a literal in one block from the block's size,
-``conflicts_among`` reads each stored clique once per call, and
-``greedy_extend`` tests only the candidates outside a stored clique that
-holds its whole seed.  Counting the edges of a stored k-literal clique or
-extending a row inside it thus costs O(k), not O(k^2).  ``neighbors``
-expands the blocks and caches a sorted tuple per literal, for the readers
-that ask again and again: ``conflicting``, the clique separator's
-subgraph, the seed members of an extension and each joining literal that
-lies in no stored block.  The trivial conflict between a literal and its
-complement is never stored and always reported.
+``conflicts_among`` intersects the candidates with each block's member
+set, cached once per block, and ``greedy_extend`` tests only the
+candidates outside a stored clique that holds its whole seed.  Counting
+the edges of a stored k-literal clique or extending a row inside it thus
+costs O(k), not O(k^2).
+``neighbors`` expands the blocks and caches a sorted tuple per literal,
+for the readers that ask again and again: ``conflicting``, the clique
+separator's subgraph and the seed members of an extension.  The trivial
+conflict between a literal and its complement is never stored and always
+reported.
 
 ``greedy_extend`` grows a set of literals by intersecting conflicts;
 clique strengthening, clique-cut extension and odd-wheel lifting all call
@@ -110,33 +113,38 @@ class CliqueStore:
     ``first[c]`` holds the initial clique of the c-th clique-bearing row in
     coefficient order.  ``addtl`` holds tuples (literal, c, l): the clique
     {literal} with positions l..len(first[c]) of ``first[c]`` (l is
-    1-based).  ``adjfirst``/``adjaddtl`` index, per node, the stored
-    cliques/tuples containing it.  ``first_stored[c]`` is False when the
-    first clique was dissolved into pairwise entries instead.  Only the
-    tuples larger than ``min_clq_size`` are kept, and none reads a
-    dissolved first clique: detection gives every tuple l >= 2, so a tuple
-    has at most ``len(first[c])`` members, and a kept one leaves
-    ``first[c]`` larger than ``min_clq_size`` too, hence stored.
+    1-based).  ``first_stored[c]`` is False when the first clique was
+    dissolved into pairwise entries instead.  ``blocks[a]`` lists the
+    stored blocks (c, s) whose members ``first[c][s:]`` all conflict with
+    literal a: (c, 0) for each stored clique holding a, and (c, l - 1) for
+    each stored tuple whose outside literal is a.  Only the tuples larger
+    than ``min_clq_size`` are kept, and none reads a dissolved first
+    clique: detection gives every tuple l >= 2, so a tuple has at most
+    ``len(first[c])`` members, and a kept one leaves ``first[c]`` larger
+    than ``min_clq_size`` too, hence stored.
     """
 
     first: list[list[int]] = field(default_factory=list)
     addtl: list[tuple[int, int, int]] = field(default_factory=list)
     first_stored: list[bool] = field(default_factory=list)
-    adjfirst: list[list[int]] = field(default_factory=list)
-    adjaddtl: list[list[int]] = field(default_factory=list)
+    blocks: list[list[tuple[int, int]]] = field(default_factory=list)
 
 
 @dataclass
 class ConflictGraph:
     """Immutable once built; safe for concurrent readers (the neighbor and
-    member-position caches only memoize already-derivable answers)."""
+    block-member caches only memoize already-derivable answers).
+
+    The literals conflicting with a are its complement, ``adjlist[a]`` and
+    the members of ``store.blocks[a]``, less a itself."""
 
     n_vars: int
     store: CliqueStore
     adjlist: list[list[int]]
     cliques_detected: int = 0
     _nbrs: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False, compare=False)
-    _pos: dict[int, dict[int, int]] = field(default_factory=dict, repr=False, compare=False)
+    _sets: dict[tuple[int, int], frozenset[int]] = field(default_factory=dict, repr=False,
+                                                         compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -154,112 +162,73 @@ class ConflictGraph:
     def neighbors(self, a: int) -> tuple[int, ...]:
         """All literals conflicting with a, sorted; always includes the
         complement.  The one query that fills the cache: ``conflicting``,
-        the clique separator and the extension of pairwise-only literals
-        read the same literals again and again."""
+        the clique separator and the seed of an extension read the same
+        literals again and again."""
         cached = self._nbrs.get(a)
-        if cached is not None:
-            return cached
-        result = tuple(sorted(self._union(a, *self._parts(a))))
-        self._nbrs[a] = result
-        return result
+        if cached is None:
+            cached = self._nbrs[a] = tuple(sorted(self._near(a)))
+        return cached
 
-    def _parts(self, a: int) -> tuple[set[int], list[tuple[int, int]]]:
-        """The one walk over the adjacency lists and the clique indices:
-        the literals conflicting with a as a small pairwise part plus the
-        stored blocks that hold them.  A block (c, s) stands for
-        ``first[c][s:]``: s is 0 for a stored clique holding a, and the
-        suffix start for a tuple whose outside literal is a.  The small
-        part holds a's adjacency list, its complement and the outside
-        literal of each tuple whose suffix holds a; it never holds a.
-        A suffix member reaches the rest of the suffix through first[c],
-        which is stored whenever the tuple is."""
-        st = self.store
-        small = set(self.adjlist[a])
-        small.add(self.complement(a))
-        blocks = [(c, 0) for c in st.adjfirst[a]]
-        for t in st.adjaddtl[a]:
-            lit, c, l = st.addtl[t]
-            if lit == a:  # the one holder that reads the suffix
-                blocks.append((c, l - 1))
-            else:
-                small.add(lit)
-        return small, blocks
-
-    def _union(self, a: int, small: set[int], blocks: list[tuple[int, int]]) -> set[int]:
-        """``small`` grown by the members of ``blocks``, less a."""
+    def _near(self, a: int) -> set[int]:
+        """The literals conflicting with a, as a new set."""
         first = self.store.first
-        for c, s in blocks:
-            small.update(first[c][s:] if s else first[c])
-        small.discard(a)
-        return small
+        near = {*self.adjlist[a], self.complement(a)}
+        for c, s in self.store.blocks[a]:
+            near.update(first[c][s:])
+        near.discard(a)
+        return near
 
-    def _members(self, c: int) -> dict[int, int]:
-        """Each member of the stored clique c with its position in
-        ``first[c]``; built once per clique on first use."""
-        pos = self._pos.get(c)
-        if pos is None:
-            pos = self._pos[c] = {v: i for i, v in enumerate(self.store.first[c])}
-        return pos
+    def _members(self, c: int, s: int) -> frozenset[int]:
+        """The members ``first[c][s:]`` of a stored block; built once per
+        block on first use."""
+        members = self._sets.get((c, s))
+        if members is None:
+            members = self._sets[c, s] = frozenset(self.store.first[c][s:])
+        return members
 
     def degree(self, a: int) -> int:
         """Number of literals conflicting with a, complement included.
         Fills no neighbor cache: a literal in one stored block counts the
-        block's members other than itself plus the members of its small
-        part outside the block."""
-        small, blocks = self._parts(a)
+        block's members other than itself plus its pairwise conflicts
+        outside the block."""
+        blocks = self.store.blocks[a]
         if len(blocks) != 1:
-            return len(self._union(a, small, blocks))
+            return len(self._near(a))
         [(c, s)] = blocks
-        pos = self._members(c)
-        outside = (len(small.difference(pos)) if s == 0
-                   else sum(pos.get(v, -1) < s for v in small))
-        # first[c][s:] holds a only when it is a's own stored clique (s == 0).
-        return len(self.store.first[c]) - s - (s == 0) + outside
+        members = self._members(c, s)
+        small = {*self.adjlist[a], self.complement(a)}
+        # The block holds a only when it is a's own stored clique (s == 0).
+        return len(members) - (s == 0) + len(small.difference(members))
 
     def conflicts_among(self, lits: Iterable[int]) -> dict[int, list[int]]:
         """For each literal of ``lits``, the sorted literals of ``lits``
-        conflicting with it.  Fills no neighbor cache, and reads each
-        stored clique once per call: the positions of its members in
-        ``lits``, from which every block keeps the positions past its
-        start."""
+        conflicting with it.  Fills no neighbor cache."""
         within = set(lits)
-        first = self.store.first
-        active: dict[int, list[int]] = {}
-        out = {}
-        for a in within:
-            small, blocks = self._parts(a)
-            near = within.intersection(small)
-            for c, s in blocks:
-                at = active.get(c)
-                if at is None:
-                    at = active[c] = [i for i, v in enumerate(first[c]) if v in within]
-                near.update(first[c][i] for i in at[bisect.bisect_left(at, s):])
-            near.discard(a)
-            out[a] = sorted(near)
-        return out
+        return {a: sorted(self._conflicting_in(a, within)) for a in within}
 
-    def _holder(self, lits: set[int]) -> dict[int, int]:
+    def _holder(self, lits: set[int]) -> frozenset[int]:
         """The members of the first stored clique that holds every literal
-        of ``lits``, with their positions; empty when no clique does."""
-        adjfirst = self.store.adjfirst
-        held = adjfirst[min(lits)]
-        if held:
-            held = set(held).intersection(*(adjfirst[v] for v in lits))
-        return self._members(min(held)) if held else {}
+        of ``lits``; empty when no clique does."""
+        blocks = self.store.blocks
+        held = {c for c, s in blocks[min(lits)] if not s}
+        for v in lits:
+            if held:
+                held.intersection_update(c for c, s in blocks[v] if not s)
+        return self._members(min(held), 0) if held else frozenset()
 
     def _conflicting_in(self, a: int, cands: set[int]) -> set[int]:
-        """The members of ``cands`` conflicting with a.  A literal in no
-        stored clique and no tuple reads its cached neighbors; any other
-        tests each candidate against its small part and its blocks."""
-        st = self.store
-        if not cands:
-            return cands
-        if not (st.adjfirst[a] or st.adjaddtl[a]):
-            return cands.intersection(self.neighbors(a))
-        small, blocks = self._parts(a)
-        held = [(self._members(c), s) for c, s in blocks]
-        return {v for v in cands if v != a and (
-            v in small or any(pos.get(v, -1) >= s for pos, s in held))}
+        """The members of ``cands`` conflicting with a: those in its
+        pairwise list, its complement and the members of its stored
+        blocks.  Each block's intersection walks the smaller of ``cands``
+        and the block."""
+        out = cands.intersection(self.adjlist[a])
+        comp = self.complement(a)
+        if comp in cands:
+            out.add(comp)
+        for c, s in self.store.blocks[a]:
+            out |= cands & self._members(c, s)
+        out.discard(a)
+        return out
 
     def dump(self, instance: MilpInstance) -> str:
         """Debug listing: stored cliques, tuples and adjacency lists."""
@@ -305,7 +274,7 @@ def greedy_extend(g: ConflictGraph, seed: Iterable[int],
     else:
         outside = set(common)
     order = sorted(outside, key=order_key)
-    inside = g._holder(ext).keys() & outside
+    inside = outside & g._holder(ext)
     outside -= inside
     for lit in order:
         if lit in outside:
@@ -334,8 +303,7 @@ def build(instance: MilpInstance, min_clq_size: int = 512) -> ConflictGraph:
         raise ValueError(f"min_clq_size must be >= 0, not {min_clq_size!r}")
     n = instance.n_vars
     n_nodes = 2 * n
-    store = CliqueStore(adjfirst=[[] for _ in range(n_nodes)],
-                        adjaddtl=[[] for _ in range(n_nodes)])
+    store = CliqueStore(blocks=[[] for _ in range(n_nodes)])
     # The dissolved cliques, tuple suffixes and tuple literals that hold
     # each literal, filed as the rows are read.  At the end each literal's
     # list is expanded once and replaced by its sorted adjacency list.
@@ -353,22 +321,21 @@ def build(instance: MilpInstance, min_clq_size: int = 512) -> ConflictGraph:
             stored = len(initial) > min_clq_size
             store.first.append(initial)
             store.first_stored.append(stored)
-            index, entry = (store.adjfirst, c) if stored else (filed, initial)
+            index, entry = (store.blocks, (c, 0)) if stored else (filed, initial)
             for v in initial:
                 index[v].append(entry)
             for lit, l in rc.addtl:
                 suffix = initial[l - 1:]
                 if len(suffix) + 1 > min_clq_size:
-                    index, entry = store.adjaddtl, len(store.addtl)
                     store.addtl.append((lit, c, l))
-                    index[lit].append(entry)
+                    store.blocks[lit].append((c, l - 1))
                 else:
-                    # Suffix-internal pairs are covered by ``initial``;
-                    # only the outside literal needs new edges.
-                    index, entry = filed, (lit,)
                     filed[lit].append(suffix)
+                # Suffix-internal pairs are covered by ``initial``; only
+                # the outside literal needs new edges.
+                entry = (lit,)
                 for v in suffix:
-                    index[v].append(entry)
+                    filed[v].append(entry)
 
     union = set().union  # a new set of the members of its arguments
     for v, held in enumerate(filed):

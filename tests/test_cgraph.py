@@ -175,6 +175,25 @@ def test_neighbors_contains_clique_and_complement():
     assert set(g.neighbors(0)) >= {1, 2, 3}
 
 
+def _count_block_shapes(g, covered):
+    """Counts the store layouts that take distinct paths through ``degree``
+    and ``_conflicting_in``: literals with 0, 1 and 2 or more stored blocks,
+    a literal whose one block is a tuple suffix, and a stored tuple whose
+    outside literal also sits in a stored clique."""
+    blocks = g.store.blocks
+    for held in blocks:
+        covered["blocks", min(len(held), 2)] += 1
+        covered["tuple suffix only"] += len(held) == 1 and held[0][1] > 0
+    covered["tuple literal in a clique"] += sum(
+        any(s == 0 for _, s in blocks[lit]) for lit, _, _ in g.store.addtl)
+
+
+def _assert_block_shapes_covered(covered):
+    shapes = [("blocks", 0), ("blocks", 1), ("blocks", 2), "tuple suffix only",
+              "tuple literal in a clique"]
+    assert all(covered[shape] > 0 for shape in shapes), covered
+
+
 def test_neighbors_symmetry_and_oracle_equivalence():
     rng = random.Random(23)
     cases = [(gen.random_binary_instance(rng, n_vars=rng.randint(2, 12)),
@@ -184,9 +203,11 @@ def test_neighbors_symmetry_and_oracle_equivalence():
                  *(gen.crossed_clique_instance(crossed)[0] for _ in range(8))]:
         cases += [(inst, mcs) for mcs in (0, 1, 2, 4, 512)]
     kept = Counter()
+    covered = Counter()
     for inst, mcs in cases:
         g = build(inst, min_clq_size=mcs)
         kept[mcs] += len(g.store.addtl)
+        _count_block_shapes(g, covered)
         probe = probe_pairs(inst)
         assert gen.edge_set(g) == probe.edges
         degrees = [g.degree(a) for a in range(g.n_nodes)]
@@ -200,15 +221,19 @@ def test_neighbors_symmetry_and_oracle_equivalence():
                 expect = b == g.complement(a) or frozenset((a, b)) in probe.edges
                 assert g.conflicting(a, b) == expect
     assert all(kept[mcs] > 0 for mcs in (0, 1, 2, 4)), kept
+    _assert_block_shapes_covered(covered)
 
 
 def test_storage_transparency():
     """Query answers are independent of where the split parameter lands."""
     rng = random.Random(24)
     pick = random.Random(124)  # subsets drawn apart, so the instances stay put
+    covered = Counter()
     for _ in range(30):
         inst = gen.random_binary_instance(rng, n_vars=rng.randint(2, 10))
         graphs = [build(inst, m) for m in (0, 1, 2, 3, 512)]
+        for g in graphs:
+            _count_block_shapes(g, covered)
         base = graphs[-1]
         subset = pick.sample(range(base.n_nodes), pick.randint(0, base.n_nodes))
         among = base.conflicts_among(subset)
@@ -220,6 +245,7 @@ def test_storage_transparency():
                 assert g.neighbors(a) == base.neighbors(a)
                 for b in range(a + 1, base.n_nodes):
                     assert g.conflicting(a, b) == base.conflicting(a, b)
+    _assert_block_shapes_covered(covered)
 
 
 def test_tuple_expansion_edges_are_row_edges():
@@ -293,12 +319,12 @@ def test_keep_dissolve_boundary():
 
 def _reference_build(inst, min_clq_size):
     """``build`` with the set-based pairwise expansion: one set per literal
-    takes every pair of each dissolved first clique and the outside literal
-    x suffix of each dissolved tuple.  Returns the graph's fields."""
+    takes every pair of each dissolved first clique, the outside literal
+    x suffix of each dissolved tuple, and each stored tuple's outside
+    literal under its suffix members.  Each literal's stored blocks are
+    read off the finished store.  Returns the graph's fields."""
     n_nodes = 2 * inst.n_vars
     first, first_stored, addtl = [], [], []
-    adjfirst = [[] for _ in range(n_nodes)]
-    adjaddtl = [[] for _ in range(n_nodes)]
     pair_sets = [set() for _ in range(n_nodes)]
     detected = 0
     for krow in gen.all_knapsack_rows(inst):
@@ -310,23 +336,24 @@ def _reference_build(inst, min_clq_size):
         stored = len(rc.initial) > min_clq_size
         first.append(rc.initial)
         first_stored.append(stored)
-        for v in rc.initial:
-            if stored:
-                adjfirst[v].append(c)
-            else:
+        if not stored:
+            for v in rc.initial:
                 pair_sets[v].update(rc.initial)
         for lit, l in rc.addtl:
             suffix = rc.initial[l - 1:]
             if len(suffix) + 1 > min_clq_size:
-                for v in (lit, *suffix):
-                    adjaddtl[v].append(len(addtl))
                 addtl.append((lit, c, l))
             else:
                 pair_sets[lit].update(suffix)
-                for v in suffix:
-                    pair_sets[v].add(lit)
+            for v in suffix:
+                pair_sets[v].add(lit)
     adjlist = [sorted(s - {v}) for v, s in enumerate(pair_sets)]
-    return adjlist, first, first_stored, addtl, adjfirst, adjaddtl, detected
+    # A literal's blocks in row order: its stored cliques (c, 0) and the
+    # suffix (c, l - 1) of each stored tuple it is the outside literal of.
+    blocks = [sorted([(c, 0) for c, f in enumerate(first) if first_stored[c] and v in f]
+                     + [(c, l - 1) for lit, c, l in addtl if lit == v])
+              for v in range(n_nodes)]
+    return adjlist, first, first_stored, addtl, blocks, detected
 
 
 def test_build_matches_set_based_pairwise_expansion():
@@ -342,8 +369,8 @@ def test_build_matches_set_based_pairwise_expansion():
         for mcs in (0, 2, 3, 4, 512):
             g = build(inst, mcs)
             st = g.store
-            got = (g.adjlist, st.first, st.first_stored, st.addtl, st.adjfirst,
-                   st.adjaddtl, g.cliques_detected)
+            got = (g.adjlist, st.first, st.first_stored, st.addtl, st.blocks,
+                   g.cliques_detected)
             assert got == _reference_build(inst, mcs), mcs
             dissolved["first", mcs] += st.first_stored.count(False)
             dissolved["tuples", mcs] += g.cliques_detected - len(st.first) - len(st.addtl)
