@@ -22,21 +22,25 @@ complement, its adjacency list and its blocks' members, so the split is
 invisible to callers.
 
 Three readers take the blocks whole and fill no neighbor cache:
-``degree`` counts a literal in one block from the block's size,
-``conflicts_among`` intersects the candidates with each block's member
-set, cached once per block, and ``greedy_extend`` tests only the
-candidates outside a stored clique that holds its whole seed.  Counting
-the edges of a stored k-literal clique or extending a row inside it thus
-costs O(k), not O(k^2).
-``neighbors`` expands the blocks and caches a sorted tuple per literal,
-for the readers that ask again and again: ``conflicting``, the clique
-separator's subgraph and the seed members of an extension.  The trivial
-conflict between a literal and its complement is never stored and always
-reported.
+``degree`` counts a literal in one block from the block's size (and a
+literal in none from its list's length), ``conflicts_among`` intersects
+the candidates with each block's member set, cached once per block, and
+``greedy_extend`` tests only the candidates outside a stored clique that
+holds its whole seed.  Counting the edges of a stored k-literal clique or
+extending a row inside it thus costs O(k), not O(k^2).
+``neighbors`` caches a sorted tuple per literal, for the readers that ask
+again and again: ``conflicting``, the clique separator's subgraph, the
+seed members of an extension and the clique check of strengthening.  A
+literal in no stored block takes its sorted list with the complement
+spliced in, with no set and no sort; any other expands its blocks.  The
+trivial conflict between a literal and its complement is never stored
+and always reported.
 
 ``greedy_extend`` grows a set of literals by intersecting conflicts;
 clique strengthening, clique-cut extension and odd-wheel lifting all call
-it with their own candidate order.
+it with their own candidate order.  Most rows cannot grow, and such a
+seed costs its smallest member list and the lists read until the common
+neighborhood runs empty, not every member's list.
 """
 
 from __future__ import annotations
@@ -136,7 +140,10 @@ class ConflictGraph:
     block-member caches only memoize already-derivable answers).
 
     The literals conflicting with a are its complement, ``adjlist[a]`` and
-    the members of ``store.blocks[a]``, less a itself."""
+    the members of ``store.blocks[a]``, less a itself.  ``adjlist[a]`` is
+    sorted and holds neither a nor its complement: every clique comes from
+    one row, and a row holds each variable once.  ``neighbors`` and
+    ``degree`` of a literal with no stored block rely on this."""
 
     n_vars: int
     store: CliqueStore
@@ -162,11 +169,18 @@ class ConflictGraph:
     def neighbors(self, a: int) -> tuple[int, ...]:
         """All literals conflicting with a, sorted; always includes the
         complement.  The one query that fills the cache: ``conflicting``,
-        the clique separator and the seed of an extension read the same
-        literals again and again."""
+        the clique separator, the seed of an extension and the clique
+        check of ``extend_clique`` read the same literals again and
+        again."""
         cached = self._nbrs.get(a)
         if cached is None:
-            cached = self._nbrs[a] = tuple(sorted(self._near(a)))
+            if self.store.blocks[a]:
+                cached = tuple(sorted(self._near(a)))
+            else:  # the sorted list lacks only the complement
+                adj, comp = self.adjlist[a], self.complement(a)
+                i = bisect.bisect_left(adj, comp)
+                cached = (*adj[:i], comp, *adj[i:])
+            self._nbrs[a] = cached
         return cached
 
     def _near(self, a: int) -> set[int]:
@@ -188,11 +202,14 @@ class ConflictGraph:
 
     def degree(self, a: int) -> int:
         """Number of literals conflicting with a, complement included.
-        Fills no neighbor cache: a literal in one stored block counts the
-        block's members other than itself plus its pairwise conflicts
+        Fills no neighbor cache: a literal in no stored block counts its
+        list and its complement, and a literal in one stored block counts
+        the block's members other than itself plus its pairwise conflicts
         outside the block."""
         blocks = self.store.blocks[a]
-        if len(blocks) != 1:
+        if not blocks:
+            return len(self.adjlist[a]) + 1
+        if len(blocks) > 1:
             return len(self._near(a))
         [(c, s)] = blocks
         members = self._members(c, s)
@@ -221,6 +238,8 @@ class ConflictGraph:
         pairwise list, its complement and the members of its stored
         blocks.  Each block's intersection walks the smaller of ``cands``
         and the block."""
+        if not cands:
+            return set()
         out = cands.intersection(self.adjlist[a])
         comp = self.complement(a)
         if comp in cands:
@@ -257,7 +276,10 @@ def greedy_extend(g: ConflictGraph, seed: Iterable[int],
     ``order_key`` must be a total order (every key ends in the node id),
     so the result does not depend on set iteration order.  A caller that
     already knows the common neighborhood (or the part of it that can
-    join) passes it as ``common``.
+    join) passes it as ``common``.  Otherwise the seed is dropped from the
+    smallest of its members' neighbor lists, and the other lists are
+    intersected one at a time until nothing is left.  A seed with no
+    common neighbor is returned as it is, with no sort.
 
     When one stored clique holds the whole seed, the candidates inside it
     conflict with the seed and with every literal of it that joins, so
@@ -269,10 +291,16 @@ def greedy_extend(g: ConflictGraph, seed: Iterable[int],
     if not ext:
         return frozenset()
     if common is None:
-        nbrs = sorted((g.neighbors(m) for m in ext), key=len)
-        outside = set(nbrs[0]).intersection(*nbrs[1:])
+        first, *rest = sorted(map(g.neighbors, ext), key=len)
+        outside = set(first).difference(ext)
+        for nbrs in rest:
+            if not outside:
+                break
+            outside.intersection_update(nbrs)
     else:
         outside = set(common)
+    if not outside:
+        return frozenset(ext)
     order = sorted(outside, key=order_key)
     inside = outside & g._holder(ext)
     outside -= inside

@@ -461,8 +461,8 @@ def write_mps(instance: MilpInstance) -> str:
         if v.upper != math.inf:
             out.append(f" UP BND        {v.name:<10} {v.upper!r}")
 
-    out.append("ENDATA")
-    return "\n".join(out) + "\n"
+    out.append("ENDATA\n")  # the final newline, without copying the text again
+    return "\n".join(out)
 
 
 def read_point(text: str, instance: MilpInstance) -> FractionalPoint:

@@ -18,6 +18,7 @@ its complement.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -50,13 +51,18 @@ def extend_clique(g: ConflictGraph, clique: Iterable[int]) -> frozenset[int]:
     everything accepted so far.  The degree is ``ConflictGraph.degree``,
     an exact count that takes a stored clique whole and caches nothing,
     so ordering the members of a stored k-clique costs O(k), not k
-    neighbor lists of k literals each.
+    neighbor lists of k literals each.  The input must be a clique: each
+    member's neighbor list is read once and the later members are found
+    in it by ``bisect``; the first pair (in sorted order) that does not
+    conflict raises ``ValueError``.
     """
     c = frozenset(clique)
     members = sorted(c)
     for i, u in enumerate(members):
+        nbrs, j = g.neighbors(u), 0
         for v in members[i + 1:]:
-            if not g.conflicting(u, v):
+            j = bisect.bisect_left(nbrs, v, j)
+            if j == len(nbrs) or nbrs[j] != v:
                 raise ValueError(f"input is not a clique: {u} and {v} do not conflict")
     return greedy_extend(g, c, lambda v: (-g.degree(v), v))
 

@@ -194,6 +194,16 @@ def _assert_block_shapes_covered(covered):
     assert all(covered[shape] > 0 for shape in shapes), covered
 
 
+def _assert_sorted_list_invariant(g, a):
+    """What the pairwise-only fast paths rely on: ``adjlist[a]`` is sorted
+    and holds neither a nor its complement, and ``neighbors`` equals the
+    sorted conflict set."""
+    adj = g.adjlist[a]
+    assert adj == sorted(adj)
+    assert a not in adj and g.complement(a) not in adj
+    assert g.neighbors(a) == tuple(sorted(g._near(a)))
+
+
 def test_neighbors_symmetry_and_oracle_equivalence():
     rng = random.Random(23)
     cases = [(gen.random_binary_instance(rng, n_vars=rng.randint(2, 12)),
@@ -213,6 +223,7 @@ def test_neighbors_symmetry_and_oracle_equivalence():
         degrees = [g.degree(a) for a in range(g.n_nodes)]
         assert not g._nbrs  # edge_set and degree fill no cache
         for a in range(g.n_nodes):
+            _assert_sorted_list_invariant(g, a)
             assert degrees[a] == len(g.neighbors(a))
             for b in g.neighbors(a):
                 assert a in g.neighbors(b)
@@ -234,6 +245,8 @@ def test_storage_transparency():
         graphs = [build(inst, m) for m in (0, 1, 2, 3, 512)]
         for g in graphs:
             _count_block_shapes(g, covered)
+            for a in range(g.n_nodes):
+                _assert_sorted_list_invariant(g, a)
         base = graphs[-1]
         subset = pick.sample(range(base.n_nodes), pick.randint(0, base.n_nodes))
         among = base.conflicts_among(subset)

@@ -39,8 +39,12 @@ def test_extend_clique_maximal_unchanged():
 def test_extend_clique_rejects_non_clique():
     inst = gen.triangle_instance()
     g = build(inst)
-    with pytest.raises(ValueError, match="not a clique"):
+    with pytest.raises(ValueError, match=r"^input is not a clique: 0 and 4 do not conflict$"):
         extend_clique(g, {0, 4})
+    # 0 conflicts with 1, 2 and its complement 3, so the first pair in
+    # sorted order that does not conflict is (1, 3).
+    with pytest.raises(ValueError, match=r"^input is not a clique: 1 and 3 do not conflict$"):
+        extend_clique(g, {3, 2, 1, 0})
 
 
 def test_extend_clique_empty():
