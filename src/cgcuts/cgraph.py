@@ -14,27 +14,22 @@ smaller one is filed under each of its members (a dissolved tuple files
 its suffix under its outside literal).  Every tuple, stored or dissolved,
 files its outside literal under each suffix member.  Once the rows are
 read, each literal's filed cliques are expanded, once, into its sorted
-pairwise adjacency list, so only one literal's expansion is held beside
-the graph.  Each literal also keeps one list of the stored blocks whose
-members all conflict with it: its stored cliques and the suffix of each
-stored tuple it is the outside literal of.  A literal's conflicts are its
-complement, its adjacency list and its blocks' members, so the split is
-invisible to callers.
+pairwise adjacency tuple, with its complement, so only one literal's
+expansion is held beside the graph.  Each literal also keeps one list of
+the stored blocks whose members all conflict with it: its stored cliques
+and the suffix of each stored tuple it is the outside literal of.  A
+literal's conflicts are its adjacency tuple and its blocks' members, so
+the split is invisible to callers.
 
-Three readers take the blocks whole and fill no neighbor cache:
-``degree`` counts a literal in one block from the block's size (and a
-literal in none from its list's length), ``conflicts_among`` intersects
-the candidates with each block's member set, cached once per block, and
-``greedy_extend`` tests only the candidates outside a stored clique that
-holds its whole seed.  Counting the edges of a stored k-literal clique or
-extending a row inside it thus costs O(k), not O(k^2).
-``neighbors`` caches a sorted tuple per literal, for the readers that ask
-again and again: ``conflicting``, the clique separator's subgraph, the
-seed members of an extension and the clique check of strengthening.  A
-literal in no stored block takes its sorted list with the complement
-spliced in, with no set and no sort; any other expands its blocks.  The
-trivial conflict between a literal and its complement is never stored
-and always reported.
+Nothing caches a literal's conflicts.  For a literal in no stored block
+``neighbors`` returns its adjacency tuple itself, and for any other it
+builds a new tuple from its blocks.  ``degree`` counts a literal in one
+block from the block's size, ``conflicts_among`` and ``conflicting``
+intersect the candidates with the tuple and with each block's member
+set, cached once per block, and ``greedy_extend`` tests only the
+candidates outside a stored clique that holds its whole seed.  Counting
+the edges of a stored k-literal clique or extending a row inside it thus
+costs O(k), not O(k^2).
 
 ``greedy_extend`` grows a set of literals by intersecting conflicts;
 clique strengthening, clique-cut extension and odd-wheel lifting all call
@@ -136,20 +131,18 @@ class CliqueStore:
 
 @dataclass
 class ConflictGraph:
-    """Immutable once built; safe for concurrent readers (the neighbor and
-    block-member caches only memoize already-derivable answers).
+    """Immutable once built; safe for concurrent readers (the block-member
+    cache only memoizes already-derivable answers).
 
-    The literals conflicting with a are its complement, ``adjlist[a]`` and
-    the members of ``store.blocks[a]``, less a itself.  ``adjlist[a]`` is
-    sorted and holds neither a nor its complement: every clique comes from
-    one row, and a row holds each variable once.  ``neighbors`` and
-    ``degree`` of a literal with no stored block rely on this."""
+    The literals conflicting with a are ``adjlist[a]`` and the members of
+    ``store.blocks[a]``, less a itself.  ``adjlist[a]`` is a sorted tuple
+    that holds a's complement and never a: every clique comes from one
+    row, and a row holds each variable once."""
 
     n_vars: int
     store: CliqueStore
-    adjlist: list[list[int]]
+    adjlist: list[tuple[int, ...]]
     cliques_detected: int = 0
-    _nbrs: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False, compare=False)
     _sets: dict[tuple[int, int], frozenset[int]] = field(default_factory=dict, repr=False,
                                                          compare=False)
 
@@ -162,31 +155,20 @@ class ConflictGraph:
 
     def conflicting(self, a: int, b: int) -> bool:
         """True iff literals a and b cannot both be active."""
-        nbrs = self.neighbors(a)
-        i = bisect.bisect_left(nbrs, b)
-        return i < len(nbrs) and nbrs[i] == b
+        return b in self._conflicting_in(a, {b})
 
     def neighbors(self, a: int) -> tuple[int, ...]:
         """All literals conflicting with a, sorted; always includes the
-        complement.  The one query that fills the cache: ``conflicting``,
-        the clique separator, the seed of an extension and the clique
-        check of ``extend_clique`` read the same literals again and
-        again."""
-        cached = self._nbrs.get(a)
-        if cached is None:
-            if self.store.blocks[a]:
-                cached = tuple(sorted(self._near(a)))
-            else:  # the sorted list lacks only the complement
-                adj, comp = self.adjlist[a], self.complement(a)
-                i = bisect.bisect_left(adj, comp)
-                cached = (*adj[:i], comp, *adj[i:])
-            self._nbrs[a] = cached
-        return cached
+        complement.  A literal in no stored block gets its adjacency tuple
+        itself; any other gets a new tuple that adds its blocks' members."""
+        if self.store.blocks[a]:
+            return tuple(sorted(self._near(a)))
+        return self.adjlist[a]
 
     def _near(self, a: int) -> set[int]:
         """The literals conflicting with a, as a new set."""
         first = self.store.first
-        near = {*self.adjlist[a], self.complement(a)}
+        near = set(self.adjlist[a])
         for c, s in self.store.blocks[a]:
             near.update(first[c][s:])
         near.discard(a)
@@ -202,24 +184,23 @@ class ConflictGraph:
 
     def degree(self, a: int) -> int:
         """Number of literals conflicting with a, complement included.
-        Fills no neighbor cache: a literal in no stored block counts its
-        list and its complement, and a literal in one stored block counts
-        the block's members other than itself plus its pairwise conflicts
+        Builds no neighbor tuple: a literal in no stored block counts its
+        adjacency tuple, and a literal in one stored block counts the
+        block's members other than itself plus its pairwise conflicts
         outside the block."""
         blocks = self.store.blocks[a]
         if not blocks:
-            return len(self.adjlist[a]) + 1
+            return len(self.adjlist[a])
         if len(blocks) > 1:
             return len(self._near(a))
         [(c, s)] = blocks
-        members = self._members(c, s)
-        small = {*self.adjlist[a], self.complement(a)}
+        members, adj = self._members(c, s), self.adjlist[a]
         # The block holds a only when it is a's own stored clique (s == 0).
-        return len(members) - (s == 0) + len(small.difference(members))
+        return len(members) - (s == 0) + len(adj) - len(members.intersection(adj))
 
     def conflicts_among(self, lits: Iterable[int]) -> dict[int, list[int]]:
         """For each literal of ``lits``, the sorted literals of ``lits``
-        conflicting with it.  Fills no neighbor cache."""
+        conflicting with it.  Builds no neighbor tuple."""
         within = set(lits)
         return {a: sorted(self._conflicting_in(a, within)) for a in within}
 
@@ -235,22 +216,20 @@ class ConflictGraph:
 
     def _conflicting_in(self, a: int, cands: set[int]) -> set[int]:
         """The members of ``cands`` conflicting with a: those in its
-        pairwise list, its complement and the members of its stored
-        blocks.  Each block's intersection walks the smaller of ``cands``
-        and the block."""
+        adjacency tuple and the members of its stored blocks.  Each
+        block's intersection walks the smaller of ``cands`` and the
+        block."""
         if not cands:
             return set()
         out = cands.intersection(self.adjlist[a])
-        comp = self.complement(a)
-        if comp in cands:
-            out.add(comp)
         for c, s in self.store.blocks[a]:
             out |= cands & self._members(c, s)
         out.discard(a)
         return out
 
     def dump(self, instance: MilpInstance) -> str:
-        """Debug listing: stored cliques, tuples and adjacency lists."""
+        """Debug listing: stored cliques, tuples and adjacency lists,
+        each literal's complement left out."""
         lines = []
         st = self.store
         for c in range(len(st.first)):
@@ -258,10 +237,11 @@ class ConflictGraph:
                 lines.append(f"C {c}: " + " ".join(instance.node_name(v) for v in st.first[c]))
         for lit, c, l in st.addtl:
             lines.append(f"T {instance.node_name(lit)} {c} {l}")
-        for a in range(self.n_nodes):
-            if self.adjlist[a]:
-                lines.append(f"A {instance.node_name(a)}: "
-                             + " ".join(instance.node_name(v) for v in self.adjlist[a]))
+        for a, adj in enumerate(self.adjlist):
+            comp = self.complement(a)
+            names = [instance.node_name(v) for v in adj if v != comp]
+            if names:
+                lines.append(f"A {instance.node_name(a)}: " + " ".join(names))
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -284,7 +264,7 @@ def greedy_extend(g: ConflictGraph, seed: Iterable[int],
     When one stored clique holds the whole seed, the candidates inside it
     conflict with the seed and with every literal of it that joins, so
     such a join tests only the candidates outside it: extending a seed
-    inside a stored k-clique costs O(k), not O(k^2), and caches only the
+    inside a stored k-clique costs O(k), not O(k^2), and reads only the
     seed members' neighbors.
     """
     ext = set(seed)
@@ -323,7 +303,8 @@ def build(instance: MilpInstance, min_clq_size: int = 512) -> ConflictGraph:
     to the clique detector; rows touching non-binary variables contribute
     nothing.  A clique of more than ``min_clq_size`` members is stored; a
     smaller one is filed under its members and, after the last row, each
-    literal's adjacency list is expanded once from what it holds.
+    literal's adjacency tuple is expanded once from what it holds, with
+    its complement.
     Identical output for identical input: all iteration orders are fixed.
     A negative ``min_clq_size`` raises ``ValueError``.
     """
@@ -334,7 +315,7 @@ def build(instance: MilpInstance, min_clq_size: int = 512) -> ConflictGraph:
     store = CliqueStore(blocks=[[] for _ in range(n_nodes)])
     # The dissolved cliques, tuple suffixes and tuple literals that hold
     # each literal, filed as the rows are read.  At the end each literal's
-    # list is expanded once and replaced by its sorted adjacency list.
+    # list is expanded once and replaced by its sorted adjacency tuple.
     filed: list[list] = [[] for _ in range(n_nodes)]
     detected = 0
 
@@ -369,5 +350,6 @@ def build(instance: MilpInstance, min_clq_size: int = 512) -> ConflictGraph:
     for v, held in enumerate(filed):
         near = union(*held)
         near.discard(v)
-        filed[v] = sorted(near)
+        near.add(complement_node(v, n))
+        filed[v] = tuple(sorted(near))
     return ConflictGraph(n, store, filed, detected)

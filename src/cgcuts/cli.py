@@ -55,11 +55,11 @@ def cmd_stats(args) -> int:
     n_con = instance.n_vars - n_bin - n_int
     nz = sum(len(r.coeffs) for r in instance.rows)
     # degree() counts the complement, which is no edge of the graph; it
-    # fills no cache, so one literal's neighbors are held at a time.
+    # builds no neighbor tuple, so one literal's neighbors are held at a time.
     n_edges = sum(g.degree(a) - 1 for a in range(g.n_nodes)) // 2
     st = g.store
     stored_first = sum(st.first_stored)
-    adj_entries = sum(len(a) for a in g.adjlist)
+    adj_entries = sum(len(a) for a in g.adjlist) - g.n_nodes  # less the complements
     lines = [
         f"instance: {instance.name or args.model}",
         f"variables: {instance.n_vars} (binary {n_bin}, integer {n_int}, continuous {n_con})",
@@ -78,7 +78,7 @@ def cmd_stats(args) -> int:
 
 def cmd_strengthen(args) -> int:
     instance = _load_model(args.model)
-    # No name holds the graph, so it and its neighbor cache are freed
+    # No name holds the graph, so it and its block-member sets are freed
     # before the rewritten model is written.
     report = strengthen(instance, build(instance, args.min_clq_size), args.alpha_max)
     _emit(write_mps(report.instance), args.out)

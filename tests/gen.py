@@ -242,10 +242,24 @@ def cliques_edge_set(cliques) -> set[frozenset[int]]:
 
 def edge_set(g) -> set[frozenset[int]]:
     """All non-trivial conflict edges of a graph, complement pairs left out.
-    Fills no neighbor cache."""
+    Calls no ``neighbors``."""
     return {frozenset((a, b))
             for a, nbrs in g.conflicts_among(range(g.n_nodes)).items()
             for b in nbrs if b != g.complement(a)}
+
+
+def count_neighbors_calls(g) -> list[int]:
+    """Counts the ``neighbors`` calls made on this one graph from now on,
+    in the returned one-element list."""
+    calls = [0]
+    neighbors = g.neighbors
+
+    def counted(a):
+        calls[0] += 1
+        return neighbors(a)
+
+    g.neighbors = counted
+    return calls
 
 
 def weighted_subgraph(weights: dict[int, float], edges) -> WeightedSubgraph:

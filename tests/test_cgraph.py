@@ -195,13 +195,16 @@ def _assert_block_shapes_covered(covered):
 
 
 def _assert_sorted_list_invariant(g, a):
-    """What the pairwise-only fast paths rely on: ``adjlist[a]`` is sorted
-    and holds neither a nor its complement, and ``neighbors`` equals the
-    sorted conflict set."""
+    """What ``neighbors`` and ``degree`` rely on: ``adjlist[a]`` is a
+    sorted tuple that holds a's complement and not a, ``neighbors`` equals
+    the sorted conflict set, and a literal in no stored block gets its
+    adjacency tuple itself."""
     adj = g.adjlist[a]
-    assert adj == sorted(adj)
-    assert a not in adj and g.complement(a) not in adj
+    assert type(adj) is tuple and adj == tuple(sorted(adj))
+    assert a not in adj and g.complement(a) in adj
     assert g.neighbors(a) == tuple(sorted(g._near(a)))
+    if not g.store.blocks[a]:
+        assert g.neighbors(a) is adj
 
 
 def test_neighbors_symmetry_and_oracle_equivalence():
@@ -219,9 +222,10 @@ def test_neighbors_symmetry_and_oracle_equivalence():
         kept[mcs] += len(g.store.addtl)
         _count_block_shapes(g, covered)
         probe = probe_pairs(inst)
+        calls = gen.count_neighbors_calls(g)
         assert gen.edge_set(g) == probe.edges
         degrees = [g.degree(a) for a in range(g.n_nodes)]
-        assert not g._nbrs  # edge_set and degree fill no cache
+        assert calls == [0]  # edge_set and degree build no neighbor tuple
         for a in range(g.n_nodes):
             _assert_sorted_list_invariant(g, a)
             assert degrees[a] == len(g.neighbors(a))
@@ -334,8 +338,9 @@ def _reference_build(inst, min_clq_size):
     """``build`` with the set-based pairwise expansion: one set per literal
     takes every pair of each dissolved first clique, the outside literal
     x suffix of each dissolved tuple, and each stored tuple's outside
-    literal under its suffix members.  Each literal's stored blocks are
-    read off the finished store.  Returns the graph's fields."""
+    literal under its suffix members, and each literal's complement.
+    Each literal's stored blocks are read off the finished store.  Returns
+    the graph's fields."""
     n_nodes = 2 * inst.n_vars
     first, first_stored, addtl = [], [], []
     pair_sets = [set() for _ in range(n_nodes)]
@@ -360,7 +365,8 @@ def _reference_build(inst, min_clq_size):
                 pair_sets[lit].update(suffix)
             for v in suffix:
                 pair_sets[v].add(lit)
-    adjlist = [sorted(s - {v}) for v, s in enumerate(pair_sets)]
+    n = inst.n_vars
+    adjlist = [tuple(sorted(s - {v} | {(v + n) % n_nodes})) for v, s in enumerate(pair_sets)]
     # A literal's blocks in row order: its stored cliques (c, 0) and the
     # suffix (c, l - 1) of each stored tuple it is the outside literal of.
     blocks = [sorted([(c, 0) for c, f in enumerate(first) if first_stored[c] and v in f]

@@ -59,6 +59,63 @@ def test_stats_dump(ex_model, capsys):
     assert "C 0: !x3 x4 x5 x6" in out
 
 
+KNAPSACK_MPS = "\n".join(
+    ["NAME KNAP", "ROWS", " N OBJ", " L knap", "COLUMNS"]
+    + [f"    x{j} knap {j}" for j in range(1, 11)]
+    + ["RHS", "    RHS knap 10", "BOUNDS"]
+    + [f" BV BND x{j}" for j in range(1, 11)]
+    + ["ENDATA", ""])
+
+KNAPSACK_HEAD = """\
+instance: KNAP
+variables: 10 (binary 10, integer 0, continuous 0)
+rows: 1  nonzeros: 10
+conflict graph: nodes 20, edges 25
+cliques detected: 5
+"""
+
+STATS_DUMP_GOLDENS = {
+    0: KNAPSACK_HEAD + """\
+stored: first cliques 1, tuples 4, adjlist entries 10
+C 0: x5 x6 x7 x8 x9 x10
+T x4 0 3
+T x3 0 4
+T x2 0 5
+T x1 0 6
+A x7: x4
+A x8: x3 x4
+A x9: x2 x3 x4
+A x10: x1 x2 x3 x4
+""",
+    6: KNAPSACK_HEAD + """\
+stored: first cliques 0, tuples 0, adjlist entries 50
+A x1: x10
+A x2: x9 x10
+A x3: x8 x9 x10
+A x4: x7 x8 x9 x10
+A x5: x6 x7 x8 x9 x10
+A x6: x5 x7 x8 x9 x10
+A x7: x4 x5 x6 x8 x9 x10
+A x8: x3 x4 x5 x6 x7 x9 x10
+A x9: x2 x3 x4 x5 x6 x7 x8 x10
+A x10: x1 x2 x3 x4 x5 x6 x7 x8 x9
+""",
+}
+
+
+@pytest.mark.parametrize("mcs", sorted(STATS_DUMP_GOLDENS))
+def test_stats_dump_golden_knapsack_row(tmp_path, capsys, mcs):
+    # x1 + 2 x2 + ... + 10 x10 <= 10: a first clique of six literals and
+    # four tuples, stored at size 0 and dissolved at 6.  Neither the A
+    # lines nor the adjlist entries count a literal's complement.
+    path = tmp_path / "knap.mps"
+    path.write_text(KNAPSACK_MPS)
+    assert main(["stats", str(path), "--min-clq-size", str(mcs), "--dump"]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert lines.pop(6).startswith("build time: ")
+    assert "".join(lines) == STATS_DUMP_GOLDENS[mcs]
+
+
 def test_strengthen_golden(tmp_path, capsys):
     mpath = tmp_path / "clq.mps"
     mpath.write_text(write_mps(gen.strengthen_example_instance()))

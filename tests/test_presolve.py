@@ -1,5 +1,8 @@
+import gc
 import itertools
 import random
+import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -367,7 +370,7 @@ def test_strengthen_matches_full_scan_reference_on_pair_rows():
 
 
 def _reference_extend_clique(g, clique):
-    """Each common neighbor in order of its cached neighbor count joins if
+    """Each common neighbor in order of its neighbor count joins if
     it conflicts with every literal accepted so far."""
     ext = set(clique)
     common = set.intersection(*(set(g.neighbors(v)) for v in ext))
@@ -394,11 +397,12 @@ def test_strengthen_across_a_stored_clique_matches_reference():
     assert totals["extended"] >= 30 and totals["removed"] >= 10, totals
 
 
-def test_strengthen_inside_a_stored_row_keeps_the_cache_linear():
+def test_strengthen_inside_a_stored_row_holds_linear_memory():
     # Extending a four-literal row inside the stored 2,000-literal row takes
-    # the row whole: only the seed's own neighbor lists are cached, not one
-    # per member (about k^2 entries), and a member that joins tests only the
-    # candidates outside the row, not all of them (about k^2 tests).
+    # the row whole: the graph keeps only the row's member set, not one
+    # neighbor tuple per member (about k^2 entries) nor even one per seed
+    # member, and a member that joins tests only the candidates outside
+    # the row, not all of them (about k^2 tests).
     k = 2000
     rng = random.Random(32)
     rows = [Row("big", [(j, 1.0) for j in range(k)], "<=", 1.0)]
@@ -406,11 +410,26 @@ def test_strengthen_inside_a_stored_row_keeps_the_cache_linear():
              for i in range(20)]
     inst = MilpInstance(gen.binary_vars(k), rows)
     g = build(inst)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = strengthen(inst, g)
+        extended, removed = report.extended, report.removed_rows
+        del report
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert extended == [(1, k - 4)]
+    assert removed == list(range(2, 21))
+    # Beyond the cached member sets of stored blocks, less than one member's
+    # neighbor tuple (8 bytes per entry).
+    assert held < sum(map(sys.getsizeof, g._sets.values())) + 8 * k, held
+
+    g = build(inst)
     tested = []
     conflicting_in = g._conflicting_in
     g._conflicting_in = lambda a, cands: tested.append(len(cands)) or conflicting_in(a, cands)
-    report = strengthen(inst, g)
-    assert report.extended == [(1, k - 4)]
-    assert report.removed_rows == list(range(2, 21))
-    assert sum(map(len, g._nbrs.values())) <= 10 * k
+    assert strengthen(inst, g).extended == extended
     assert sum(tested) <= 10 * k

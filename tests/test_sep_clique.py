@@ -1,6 +1,8 @@
+import gc
 import logging
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -67,6 +69,30 @@ def test_negative_or_nan_min_viol_raises():
         with pytest.raises(ValueError, match="min_viol must be finite and >= 0"):
             separate_cliques(g, point, min_viol)
     assert separate_cliques(g, point, 0.0) == []
+
+
+def test_repeated_separation_on_a_stored_row_holds_no_neighbor_lists():
+    # Every member of the stored 1,000-literal row is fractional, so the
+    # subgraph reads each member's neighbors: about k^2 entries in all.
+    # None of them may stay behind on the graph once the cuts are dropped.
+    k = 1000
+    inst = MilpInstance(gen.binary_vars(k), [Row("pack", [(j, 1.0) for j in range(k)], "<=", 1.0)])
+    g = build(inst, min_clq_size=16)
+    assert g.store.first_stored == [True]
+    point = FractionalPoint({j: 0.5 for j in range(k)})
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(2):
+            cuts = separate_cliques(g, point)
+            assert [cut.members for cut in cuts] == [frozenset(range(k))]
+        del cuts
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20, held
 
 
 def test_fractional_subgraph_includes_complements():

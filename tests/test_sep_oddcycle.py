@@ -367,7 +367,7 @@ def test_search_matches_recorded_cuts(seed):
 
 
 def _reference_auxiliary(g, point):
-    """The double cover as built from each active literal's cached
+    """The double cover as built from each active literal's
     ``neighbors`` tuple."""
     n = g.n_vars
     nodes = [v for v in range(2 * n) if point.lit_value(v, n) > FRAC_EPS]
@@ -550,7 +550,7 @@ def test_five_cycle_searches_once_per_mirror_pair(monkeypatch):
     assert cuts[0].violation == pytest.approx(0.25)
 
 
-def test_auxiliary_matches_neighbors_and_leaves_cache_empty():
+def test_auxiliary_matches_neighbors_and_calls_none():
     rng = random.Random(65)
     cases = [(_exactness_fixture(seed), 4) for seed in range(40)]
     for _ in range(40):
@@ -563,8 +563,12 @@ def test_auxiliary_matches_neighbors_and_leaves_cache_empty():
         g = build(inst, min_clq_size=mcs)
         stored += any(g.store.first_stored)
         tuples += bool(g.store.addtl)
+        calls = gen.count_neighbors_calls(g)
         aux = build_auxiliary(g, point)
-        assert not g._nbrs
+        assert calls == [0]
+        for a in range(g.n_nodes):
+            if not g.store.blocks[a]:
+                assert g.neighbors(a) is g.adjlist[a]
         ref = _reference_auxiliary(g, point)
         assert (aux.nodes, aux.adj, aux.clamped_edges) == (ref.nodes, ref.adj, ref.clamped_edges)
     assert stored >= 20 and tuples >= 5
