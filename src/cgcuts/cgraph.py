@@ -153,17 +153,21 @@ class ConflictGraph:
     def complement(self, node: int) -> int:
         return complement_node(node, self.n_vars)
 
+    @property
+    def adj_entries(self) -> int:
+        """Pairwise conflicts stored in ``adjlist``, complements left out."""
+        return sum(map(len, self.adjlist)) - self.n_nodes
+
     def conflicting(self, a: int, b: int) -> bool:
-        """True iff literals a and b cannot both be active."""
+        """True iff literals a and b cannot both be active.  Walks a's
+        adjacency tuple, so one call costs O(degree(a))."""
         return b in self._conflicting_in(a, {b})
 
     def neighbors(self, a: int) -> tuple[int, ...]:
         """All literals conflicting with a, sorted; always includes the
         complement.  A literal in no stored block gets its adjacency tuple
         itself; any other gets a new tuple that adds its blocks' members."""
-        if self.store.blocks[a]:
-            return tuple(sorted(self._near(a)))
-        return self.adjlist[a]
+        return tuple(sorted(self._near(a))) if self.store.blocks[a] else self.adjlist[a]
 
     def _near(self, a: int) -> set[int]:
         """The literals conflicting with a, as a new set."""

@@ -59,14 +59,13 @@ def cmd_stats(args) -> int:
     n_edges = sum(g.degree(a) - 1 for a in range(g.n_nodes)) // 2
     st = g.store
     stored_first = sum(st.first_stored)
-    adj_entries = sum(len(a) for a in g.adjlist) - g.n_nodes  # less the complements
     lines = [
         f"instance: {instance.name or args.model}",
         f"variables: {instance.n_vars} (binary {n_bin}, integer {n_int}, continuous {n_con})",
         f"rows: {len(instance.rows)}  nonzeros: {nz}",
         f"conflict graph: nodes {g.n_nodes}, edges {n_edges}",
         f"cliques detected: {g.cliques_detected}",
-        f"stored: first cliques {stored_first}, tuples {len(st.addtl)}, adjlist entries {adj_entries}",
+        f"stored: first cliques {stored_first}, tuples {len(st.addtl)}, adjlist entries {g.adj_entries}",
         f"build time: {elapsed:.6f} s",
     ]
     text = "\n".join(lines) + "\n"

@@ -474,7 +474,7 @@ def test_greedy_extend_matches_pairwise_loop():
             g = build(inst, mcs)
             covered["tuples"] += bool(g.store.addtl)
             covered["stored first cliques"] += any(g.store.first_stored)
-            covered["pairwise entries"] += any(g.adjlist)
+            covered["pairwise entries"] += g.adj_entries > 0
             seeds = [{v} for v in range(g.n_nodes)]
             seeds += [set(e) for e in sorted(gen.edge_set(g), key=sorted)]
             sub = fractional_subgraph(g, by_value)
