@@ -3,10 +3,7 @@
 Vertex sets (P, X, adjacency rows) are arbitrary-precision ints used as
 bit strings, so the hot set operations are single AND/OR expressions.
 The current clique R is a tuple of local indices, one longer per branch
-taken.  A maximal clique is emitted as the frozenset of its external ids
-inserted in local-index order: a set's iteration order can depend on the
-order of insertion, and callers sum floats in iteration order, so the
-subgraph's numbering fixes it, not the path the search took.
+taken, and a maximal clique is emitted as the frozenset of its external ids.
 The search enumerates maximal cliques whose weight reaches ``min_weight``,
 skipping any subtree where the weight of the current clique plus all
 remaining candidates cannot reach it.  It runs on an explicit stack of
@@ -134,7 +131,7 @@ def find_cliques(g: WeightedSubgraph, params: BkParams) -> BkResult:
                 stack.append([r, p_mask, x_mask, r_weight, p_mask & ~adj[u]])
         elif r_weight >= minw and not x_mask and r:
             # No candidates and X empty: R is maximal.
-            out.append(frozenset(map(node, sorted(r))))
+            out.append(frozenset(map(node, r)))
         # The next node is the first untaken branch of the deepest frame.
         # Its P and X are taken before the frame moves v from P to X.
         while stack:

@@ -14,7 +14,7 @@ import sys
 import time
 
 from .cgraph import build
-from .model import MilpInstance, ParseError, Row, parse_mps, read_point, write_mps
+from .model import MilpInstance, Row, parse_mps, read_point, write_mps
 from .presolve import strengthen
 
 
@@ -168,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # a ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a crash must not read as "no cuts" (exit 1)

@@ -409,7 +409,13 @@ def parse_mps(text: str) -> MilpInstance:
 
 
 def write_mps(instance: MilpInstance) -> str:
-    """Serialize an instance; ``parse_mps(write_mps(m)) == m``."""
+    """Serialize an instance, column by column.
+
+    ``parse_mps(write_mps(m)) == m`` when every row lists its coefficients
+    in column order, as every ``literals_to_row`` row does, and every row
+    parsed from a file that lists each column's entries together; any
+    other row parses back with its coefficients sorted by column.
+    """
     out = [f"NAME {instance.name}".rstrip()]
     out.append("ROWS")
     out.append(f" N {instance.objective_name}")

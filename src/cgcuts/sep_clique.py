@@ -158,7 +158,7 @@ def separate_cliques(g: ConflictGraph, point: FractionalPoint,
         ext = extend_cut(g, clique, point, common)
         if len(ext) == 2 and max(ext) - min(ext) == g.n_vars:
             continue
-        cuts.append(CliqueCut(ext, sum(map(value, ext)) - 1.0, ext - clique))
+        cuts.append(CliqueCut(ext, math.fsum(map(value, ext)) - 1.0, ext - clique))
     cuts.sort(key=lambda c: (-c.violation, sorted(c.members)))
     return cuts
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -243,8 +244,8 @@ def separate_odd_cycles(g: ConflictGraph, point: FractionalPoint) -> list[OddCyc
         center = lift_center(g, cycle, point)
         half = (len(cycle) - 1) // 2
         violation = (
-            sum(value[v] for v in cycle)
-            + half * sum(value[v] for v in center)
+            math.fsum(value[v] for v in cycle)
+            + half * math.fsum(value[v] for v in center)
             - half
         )
         cuts.append(OddCycleCut(cycle, center, violation))

@@ -112,29 +112,6 @@ def test_matches_recursive_reference_deep():
     assert res.exact and res.cliques == [frozenset(range(k))]
 
 
-def test_cliques_iterate_in_local_index_order():
-    # A set's iteration order can depend on the order of insertion, and
-    # callers sum floats over a clique in iteration order, so each clique
-    # must iterate as the reference's, which inserts its ids in local-index
-    # order.  Ids 8 apart share their slot in a small set's table, so any
-    # other insertion order shows.
-    rng = random.Random(38)
-    reordered = 0
-    for _ in range(300):
-        n = rng.randint(3, 14)
-        adj, weights = gen.random_weighted_graph(rng, n, rng.uniform(0.3, 0.9))
-        adj = {8 * v: {8 * u for u in adj[v]} for v in adj}
-        weights = {8 * v: w for v, w in weights.items()}
-        g = _subgraph(adj, weights)
-        params = BkParams(min_weight=rng.uniform(0.0, 1.5), max_calls=10**9)
-        got = find_cliques(g, params).cliques
-        ref = _reference_find_cliques(g, params).cliques
-        assert [list(c) for c in got] == [list(c) for c in ref]
-        # Cliques whose iteration order changes when inserted in reverse.
-        reordered += sum(list(frozenset(reversed(list(c)))) != list(c) for c in ref)
-    assert reordered > 1000
-
-
 def test_triangle_golden():
     adj = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}}
     w = {v: 0.5 for v in adj}

@@ -123,6 +123,11 @@ def test_roundtrip_mixed_variable_kinds():
             Row("r2", [(0, 1.0), (4, 1.0)], "=", 1.0)]
     inst = MilpInstance(variables, rows, name="MIX")
     assert parse_mps(write_mps(inst)) == inst
+    # Rows are written column by column, so only a row in column order
+    # comes back as it was.
+    unsorted = Row("r3", [(1, 1.0), (0, 2.0)], "<=", 1.0)
+    again = parse_mps(write_mps(MilpInstance(variables, rows + [unsorted], name="MIX")))
+    assert again.rows == rows + [Row("r3", [(0, 2.0), (1, 1.0)], "<=", 1.0)]
 
 
 def test_normalize_mixed_sign_row():

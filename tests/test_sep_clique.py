@@ -17,6 +17,7 @@ from cgcuts import (
     cut_to_row,
     separate_cliques,
 )
+from cgcuts import sep_clique
 from cgcuts.bk import find_cliques
 from cgcuts.oracle import probe_pairs
 from cgcuts.sep_clique import CliqueCut, extend_cut, fractional_subgraph
@@ -33,6 +34,16 @@ def test_triangle_golden():
     assert cuts[0].members == frozenset({0, 1, 2})
     assert cuts[0].violation == 0.5
     assert cuts[0].lifted_members == frozenset()
+
+
+def test_violation_is_correctly_rounded():
+    # Eleven 0.1s summed left to right give 1.0999999999999999, so a
+    # violation of 0.09999999999999987; correctly rounded it is
+    # 1.1 - 1.0 on every Python.
+    inst = MilpInstance(gen.binary_vars(11), [Row("pack", [(j, 1.0) for j in range(11)], "<=", 1.0)])
+    cuts = separate_cliques(build(inst), FractionalPoint({j: 0.1 for j in range(11)}))
+    assert [(c.members, repr(c.violation)) for c in cuts] == [
+        (frozenset(range(11)), "0.10000000000000009")]
 
 
 def test_budget_truncation_logs_one_warning(caplog):
@@ -264,7 +275,7 @@ def _reference_separate_cliques(g, point, min_viol, bk_params):
         if _complement_pair(ext, n):
             continue
         if key not in cuts:
-            violation = sum(point.lit_value(v, n) for v in ext) - 1.0
+            violation = math.fsum(point.lit_value(v, n) for v in ext) - 1.0
             cuts[key] = CliqueCut(ext, violation, ext - clique)
     return sorted(cuts.values(), key=lambda c: (-c.violation, tuple(sorted(c.members))))
 
@@ -315,6 +326,40 @@ def test_separation_matches_reference_pipeline():
         covered["reduced costs"] += point.reduced_costs is not None and bool(got)
     assert all(covered[k] >= 20 for k in
                ("cuts", "lifted", "filtered", "tuples", "reduced costs")), covered
+
+
+def test_cuts_do_not_depend_on_clique_insertion_order(monkeypatch):
+    # Every used variable is 8 apart and n_vars is a multiple of 8, so all
+    # literals share their slot in a small set's table and a set iterates
+    # in its insertion order.  Rebuilding each clique in reverse must not
+    # change a member, a violation's last bit, a lifted member or the order.
+    def reversed_insertion(sub, params):
+        res = find_cliques(sub, params)
+        rebuilt = [frozenset(reversed(list(c))) for c in res.cliques]
+        reordered.append(sum(list(a) != list(b) for a, b in zip(rebuilt, res.cliques)))
+        return replace(res, cliques=rebuilt)
+
+    def cut_list(cuts):
+        return [(c.members, repr(c.violation), c.lifted_members) for c in cuts]
+
+    rng = random.Random(65)
+    reordered = []
+    params = BkParams(max_calls=10**9)
+    for _ in range(60):
+        k = rng.randint(6, 14)
+        rows = []
+        for i in range(rng.randint(2, 6)):
+            support = rng.sample(range(0, 8 * k, 8), rng.randint(3, min(6, k)))
+            rows.append(Row(f"p{i}", [(j, 1.0) for j in sorted(support)], "<=", 1.0))
+        g = build(MilpInstance(gen.binary_vars(8 * k), rows))
+        point = FractionalPoint({j: rng.choice([0.1, 0.2, 0.3, rng.random()])
+                                 for j in range(0, 8 * k, 8)})
+        for min_viol in (0.0, 0.02):
+            expect = cut_list(separate_cliques(g, point, min_viol, params))
+            with monkeypatch.context() as m:
+                m.setattr(sep_clique, "find_cliques", reversed_insertion)
+                assert cut_list(separate_cliques(g, point, min_viol, params)) == expect
+    assert sum(reordered) > 500, sum(reordered)
 
 
 def test_filtered_subgraph_keeps_every_violated_clique():

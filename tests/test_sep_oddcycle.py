@@ -450,8 +450,8 @@ def _reference_separate_odd_cycles(g, point):
     for cycle in found:
         center = lift_center(g, cycle, point)
         half = (len(cycle) - 1) // 2
-        violation = (sum(point.lit_value(v, n) for v in cycle)
-                     + half * sum(point.lit_value(v, n) for v in center) - half)
+        violation = (math.fsum(point.lit_value(v, n) for v in cycle)
+                     + half * math.fsum(point.lit_value(v, n) for v in center) - half)
         cuts.append(OddCycleCut(cycle, center, violation))
     return sorted(cuts, key=lambda c: (-c.violation, c.cycle)), found
 
