@@ -17,6 +17,9 @@ for every column, including integer columns.  ``parse_mps`` and
 (sense, entries by column index, rhs) and one per column (index,
 integrality, bounds, last BOUNDS line), so a duplicate entry is a key
 already in its row and crossing bounds name the line that set them last.
+Each row is built with its entries sorted by column index, so a column
+whose lines are split by another column's still gives rows in column
+order.
 Its line loop splits each line once and skips blank and ``*`` comment
 lines by their tokens.  A data line then costs one section test, COLUMNS
 first as the section with the most lines, and one dict lookup per row or
@@ -401,8 +404,7 @@ def parse_mps(text: str) -> MilpInstance:
             objective_name, k = f"OBJ{k}", k + 1
     variables = [Variable(cname, lower, upper, integer, objective.get(j, 0.0))
                  for cname, (j, integer, lower, upper, _) in cols.items()]
-    constraints = [Row(rname, list(entries.items()) if 0.0 not in entries.values()
-                       else [(j, a) for j, a in entries.items() if a != 0.0],
+    constraints = [Row(rname, [(j, a) for j, a in sorted(entries.items()) if a != 0.0],
                        sense, 0.0 if rhs is None else rhs)
                    for rname, (sense, entries, rhs) in rows.items() if sense is not None]
     return MilpInstance(variables, constraints, name=name, objective_name=objective_name)
@@ -411,11 +413,24 @@ def parse_mps(text: str) -> MilpInstance:
 def write_mps(instance: MilpInstance) -> str:
     """Serialize an instance, column by column.
 
-    ``parse_mps(write_mps(m)) == m`` when every row lists its coefficients
-    in column order, as every ``literals_to_row`` row does, and every row
-    parsed from a file that lists each column's entries together; any
-    other row parses back with its coefficients sorted by column.
+    ``parse_mps(write_mps(m)) == m`` for every parsed model, and for every
+    model whose rows list their coefficients in column order, as the parser
+    and ``literals_to_row`` build them, unless a row or the objective is
+    named ``'MARKER'``; any other row parses back with its coefficients
+    sorted by column.  A name that would not parse back raises
+    ``ValueError`` naming the first one in the file's order: a model name
+    holding whitespace, an objective, row or variable name that is empty or
+    holds whitespace, or a variable name starting with ``*``, which would
+    begin a comment line.
     """
+    if instance.name and instance.name.split() != [instance.name]:
+        raise ValueError(f"model name {instance.name!r} holds whitespace")
+    for kind, names in (("objective", [instance.objective_name]),
+                        ("row", [row.name for row in instance.rows]),
+                        ("variable", [v.name for v in instance.variables])):
+        for name in names:
+            if name.split() != [name] or kind == "variable" and name[0] == "*":
+                raise ValueError(f"{kind} name {name!r} would not parse back")
     out = [f"NAME {instance.name}".rstrip()]
     out.append("ROWS")
     out.append(f" N {instance.objective_name}")

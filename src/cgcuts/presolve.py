@@ -1,11 +1,11 @@
 """Clique strengthening: grow set-packing rows to maximal cliques.
 
-Each set-packing row (unit coefficients, rhs 1 after knapsack
-normalization, so complements qualify too; read from the row's own
-coefficients) is extended greedily over the conflict graph; the extended
-row replaces it and every other collected set-packing row whose literal
-set the extension covers is dropped as dominated.  Everything else in
-the instance is left untouched.
+Each set-packing row (at least two literals, unit coefficients and rhs 1
+in the knapsack form that ``normalize_to_knapsack`` writes, so
+complements qualify too) is extended greedily over the conflict graph;
+the extended row replaces it and every other collected set-packing row
+whose literal set the extension covers is dropped as dominated.
+Everything else in the instance is left untouched.
 
 An extension may hold both literals of one variable x_j, since x_j
 always conflicts with its complement.  In the written row x_j and
@@ -26,10 +26,9 @@ from .cgraph import ConflictGraph, greedy_extend
 from .model import (
     EPS,
     SENSE_EQ,
-    SENSE_GE,
     MilpInstance,
-    Row,
     literals_to_row,
+    normalize_to_knapsack,
 )
 
 
@@ -67,37 +66,6 @@ def extend_clique(g: ConflictGraph, clique: Iterable[int]) -> frozenset[int]:
     return greedy_extend(g, c, lambda v: (-g.degree(v), v))
 
 
-def _set_packing_literals(row: Row, instance: MilpInstance) -> frozenset[int] | None:
-    """The literals of a <= or >= row over binaries whose knapsack form has
-    at least two literals, unit coefficients and rhs 1, else None.
-
-    The form is read from the coefficients, as ``normalize_to_knapsack``
-    writes it: a >= row is negated, and each negative term is complemented
-    and adds its magnitude to the rhs, in the row's order.
-    """
-    if len(row.coeffs) < 2:
-        return None
-    binary, n = instance._binary, instance.n_vars
-    sign = -1.0 if row.sense == SENSE_GE else 1.0
-    b = sign * row.rhs
-    literals = []
-    for j, a in row.coeffs:
-        if not binary[j]:
-            return None
-        a *= sign
-        if a > 0:
-            literals.append(j)
-        else:
-            literals.append(j + n)
-            a = -a
-            b += a
-        if abs(a - 1.0) > EPS:
-            return None
-    if abs(b - 1.0) > EPS:
-        return None
-    return frozenset(literals)
-
-
 def strengthen(instance: MilpInstance, g: ConflictGraph,
                alpha_max: int = 128) -> StrengthenReport:
     """Extend set-packing rows with at most ``alpha_max`` variables.
@@ -112,11 +80,14 @@ def strengthen(instance: MilpInstance, g: ConflictGraph,
         raise ValueError(f"alpha_max must be >= 0, not {alpha_max!r}")
     eligible: list[tuple[int, frozenset[int]]] = []
     for ri, row in enumerate(instance.rows):
-        if row.sense == SENSE_EQ or len(row.coeffs) > alpha_max:
+        # An equality is skipped before normalizing, which would write both
+        # of its directions only to have them dropped.
+        if row.sense == SENSE_EQ or not 2 <= len(row.coeffs) <= alpha_max:
             continue
-        clique = _set_packing_literals(row, instance)
-        if clique is not None:
-            eligible.append((ri, clique))
+        for krow in normalize_to_knapsack(row, instance):
+            if (abs(krow.rhs - 1.0) <= EPS
+                    and all(abs(a - 1.0) <= EPS for _, a in krow.literals)):
+                eligible.append((ri, frozenset(lit for lit, _ in krow.literals)))
 
     alive = dict(eligible)
     # A row inside an extension has its smallest literal there, so each row

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -128,6 +129,49 @@ def test_roundtrip_mixed_variable_kinds():
     unsorted = Row("r3", [(1, 1.0), (0, 2.0)], "<=", 1.0)
     again = parse_mps(write_mps(MilpInstance(variables, rows + [unsorted], name="MIX")))
     assert again.rows == rows + [Row("r3", [(0, 2.0), (1, 1.0)], "<=", 1.0)]
+
+
+def test_parse_split_column_gives_rows_in_column_order():
+    # x1's entries are split by x0's line; row s still comes out sorted by
+    # column, so the parsed model writes and parses back as it was.
+    text = """\
+NAME SPLIT
+ROWS
+ N OBJ
+ L r
+ L s
+COLUMNS
+    x1 r 1.0
+    x0 s 2.0
+    x1 s 1.0
+RHS
+ENDATA
+"""
+    inst = parse_mps(text)
+    assert [v.name for v in inst.variables] == ["x1", "x0"]
+    assert inst.rows == [Row("r", [(0, 1.0)], "<=", 0.0), Row("s", [(0, 1.0), (1, 2.0)], "<=", 0.0)]
+    assert parse_mps(write_mps(inst)) == inst
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(variables=["x 1", "x2"]), "variable name 'x 1' would not parse back"),
+    (dict(variables=["x1", "*x"]), "variable name '*x' would not parse back"),
+    (dict(variables=["x1", ""]), "variable name '' would not parse back"),
+    (dict(row="r\t1"), "row name 'r\\t1' would not parse back"),
+    (dict(objective_name="the objective"), "objective name 'the objective' would not parse back"),
+    (dict(name="a b"), "model name 'a b' holds whitespace"),
+    (dict(name=" "), "model name ' ' holds whitespace"),
+    # The first offending name in the file's order is named.
+    (dict(variables=["x 1", "x2"], row="r 1"), "row name 'r 1' would not parse back"),
+])
+def test_write_rejects_names_that_would_not_parse_back(change, message):
+    names = change.get("variables", ["x1", "x2"])
+    inst = MilpInstance([Variable(v, 0.0, 1.0, True) for v in names],
+                        [Row(change.get("row", "r"), [(0, 1.0), (1, 1.0)], "<=", 1.0)],
+                        name=change.get("name", "M"),
+                        objective_name=change.get("objective_name", "OBJ"))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_mps(inst)
 
 
 def test_normalize_mixed_sign_row():

@@ -19,7 +19,7 @@ from cgcuts import (
 )
 from cgcuts.cli import main
 from cgcuts.model import EPS, Variable, literals_to_row
-from cgcuts.presolve import _set_packing_literals, extend_clique
+from cgcuts.presolve import extend_clique
 
 import gen
 from brute import enum_feasible
@@ -125,9 +125,14 @@ def test_strengthen_alpha_max_limits_extension():
 
 
 def test_strengthen_equality_rows_untouched():
+    # Both knapsack directions of e would extend: {x1, x2} by x3 through p
+    # and q, and {!x1, !x2} by !x3 through p2 and q2.
     rows = [
         Row("e", [(0, 1.0), (1, 1.0)], "=", 1.0),
         Row("p", [(0, 1.0), (2, 1.0)], "<=", 1.0),
+        Row("q", [(1, 1.0), (2, 1.0)], "<=", 1.0),
+        Row("p2", [(0, 1.0), (2, 1.0)], ">=", 1.0),
+        Row("q2", [(1, 1.0), (2, 1.0)], ">=", 1.0),
     ]
     from cgcuts import MilpInstance
 
@@ -135,6 +140,7 @@ def test_strengthen_equality_rows_untouched():
     g = build(inst)
     report = strengthen(inst, g)
     assert report.instance.rows[0] == rows[0]
+    assert 0 not in dict(report.extended) and 0 not in report.removed_rows
 
 
 def test_strengthen_removes_duplicate_dominated_rows():
@@ -263,6 +269,28 @@ def _edge_rows(rng, count):
     return MilpInstance(variables, rows)
 
 
+def _strengthened_clique(row, variables):
+    """The literal set ``strengthen`` reads from ``row`` as a set-packing
+    row, or None.
+
+    The last variable, z, is in no row.  The row alone is strengthened over
+    a graph whose one clique is z plus the literals of the row's knapsack
+    form, so a row read with exactly those literals gains z and nothing
+    else, and a row not read gains nothing.
+    """
+    inst = MilpInstance(variables, [row])
+    z = inst.n_vars - 1
+    krows = normalize_to_knapsack(row, inst)
+    terms = [(lit, 1.0) for lit, _ in krows[0].literals] if krows else []
+    clique = literals_to_row(terms + [(z, 1.0)], 1.0, inst.n_vars, "clique")
+    report = strengthen(inst, build(MilpInstance(variables, [clique])))
+    if not report.extended:
+        return None
+    assert report.extended == [(0, 1)], report.extended
+    [krow] = normalize_to_knapsack(report.instance.rows[0], inst)
+    return frozenset(lit for lit, _ in krow.literals) - {z}
+
+
 def test_set_packing_detection_matches_knapsack_form():
     rng = random.Random(44)
     instances = [_edge_rows(rng, 4000)]
@@ -271,12 +299,13 @@ def test_set_packing_detection_matches_knapsack_form():
         instances.append(make(rng, n_vars=rng.randint(3, 10)))
     seen = Counter()
     for inst in instances:
-        n = inst.n_vars
+        variables = inst.variables + [Variable("z", 0.0, 1.0, True)]
+        n = len(variables)
         for row in inst.rows:
             if row.sense == "=":
                 continue
-            expected = _knapsack_set_packing(row, inst)
-            assert _set_packing_literals(row, inst) == expected, row
+            expected = _knapsack_set_packing(row, MilpInstance(variables, [row]))
+            assert _strengthened_clique(row, variables) == expected, row
             if expected is None:
                 binary = all(inst.is_binary(j) for j, _ in row.coeffs)
                 seen["rejected, continuous" if not binary else
@@ -391,7 +420,7 @@ def test_strengthen_across_a_stored_clique_matches_reference():
             totals["extended"] += len(report.extended)
             totals["removed"] += len(report.removed_rows)
             for row in inst.rows:
-                clique = _set_packing_literals(row, inst)
+                clique = _knapsack_set_packing(row, inst)
                 if clique is not None:
                     assert extend_clique(g, clique) == _reference_extend_clique(g, clique)
     assert totals["extended"] >= 30 and totals["removed"] >= 10, totals
