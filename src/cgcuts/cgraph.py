@@ -1,12 +1,17 @@
 """Conflict graph construction and the hybrid clique/pairwise store.
 
-Cliques are extracted per knapsack row in O(n log n): after sorting by
+A row whose terms are all binary with coefficient 1 or -1 is read once,
+by ``unit_knapsacks``: each of its knapsack directions whose rhs any two
+literals overload is one clique of all its literals, with no tuples, so
+the row is neither normalized nor sorted by coefficient.  Cliques of any
+other row are extracted per knapsack row in O(n log n): after sorting by
 coefficient, the largest suffix whose smallest two members overload the
 rhs forms the initial clique, and each literal below it is paired with
 the shortest suffix it still conflicts with.  ``bisect`` finds each
 boundary, keyed by the pair-sum test.  Those extra cliques are kept as
 (literal, row, start) tuples rather than being expanded, which is what
-keeps the loop out of quadratic territory.
+keeps the loop out of quadratic territory.  Both paths give the same
+cliques for a +-1 row.
 
 ``build`` stores or dissolves each clique as soon as it is detected: a
 clique of more than ``min_clq_size`` members stays in the tuple store, a
@@ -51,6 +56,7 @@ from .model import (
     MilpInstance,
     complement_node,
     normalize_to_knapsack,
+    unit_knapsacks,
 )
 
 
@@ -303,12 +309,15 @@ def greedy_extend(g: ConflictGraph, seed: Iterable[int],
 def build(instance: MilpInstance, min_clq_size: int = 512) -> ConflictGraph:
     """Build the conflict graph of an instance.
 
-    Every row over binary variables is normalized to knapsack form and fed
-    to the clique detector; rows touching non-binary variables contribute
-    nothing.  A clique of more than ``min_clq_size`` members is stored; a
-    smaller one is filed under its members and, after the last row, each
-    literal's adjacency tuple is expanded once from what it holds, with
-    its complement.
+    A row whose terms are all binary with coefficient 1 or -1 is read by
+    ``unit_knapsacks``: each direction with two literals or more that
+    overload its rhs is one clique of all of them.  Every other row over
+    binary variables is normalized to knapsack form and fed to the clique
+    detector, which finds the same cliques for a +-1 row.  Rows touching
+    non-binary variables contribute nothing.  A clique of more than
+    ``min_clq_size`` members is stored; a smaller one is filed under its
+    members and, after the last row, each literal's adjacency tuple is
+    expanded once from what it holds, with its complement.
     Identical output for identical input: all iteration orders are fixed.
     A negative ``min_clq_size`` raises ``ValueError``.
     """
@@ -324,12 +333,18 @@ def build(instance: MilpInstance, min_clq_size: int = 512) -> ConflictGraph:
     detected = 0
 
     for row in instance.rows:
-        for krow in normalize_to_knapsack(row, instance):
-            rc = detect_cliques_compressed(krow)
-            initial = rc.initial
+        units = unit_knapsacks(row, instance)
+        if units is None:
+            found = [(rc.initial, rc.addtl) for rc in map(detect_cliques_compressed,
+                                                           normalize_to_knapsack(row, instance))]
+        else:
+            # All coefficients are 1: every literal of a direction is in its
+            # one clique when two of them overload the rhs, as detection finds.
+            found = [(lits, ()) for lits, b in units if len(lits) > 1 and 2.0 > b + EPS]
+        for initial, addtl in found:
             if not initial:
                 continue
-            detected += 1 + len(rc.addtl)
+            detected += 1 + len(addtl)
             c = len(store.first)
             stored = len(initial) > min_clq_size
             store.first.append(initial)
@@ -337,7 +352,7 @@ def build(instance: MilpInstance, min_clq_size: int = 512) -> ConflictGraph:
             index, entry = (store.blocks, (c, 0)) if stored else (filed, initial)
             for v in initial:
                 index[v].append(entry)
-            for lit, l in rc.addtl:
+            for lit, l in addtl:
                 suffix = initial[l - 1:]
                 if len(suffix) + 1 > min_clq_size:
                     store.addtl.append((lit, c, l))

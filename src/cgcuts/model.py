@@ -25,6 +25,18 @@ lines by their tokens.  A data line then costs one section test, COLUMNS
 first as the section with the most lines, and one dict lookup per row or
 column name; the (row, value) pairs of a COLUMNS or RHS line are read by
 token index, in one loop that holds each entry check once.
+
+A model is checked once, where it enters the library.  ``Row(...)`` and
+``MilpInstance(...)`` check what a caller hands them.  The parser checks
+every name, index, sense and coefficient as it reads the lines, so it
+makes its rows without ``Row.__post_init__`` and its instance through
+``_instance``, with no second check.  ``strengthen`` makes its result
+through ``_instance`` too, from rows and variables already checked.
+
+``unit_knapsacks`` reads a row whose terms are all binary with
+coefficient 1 or -1 into the literals and rhs of each knapsack direction,
+as ``normalize_to_knapsack`` would write them, without a ``KnapsackRow``;
+``build`` and ``strengthen`` read such rows through it.
 """
 
 from __future__ import annotations
@@ -155,6 +167,19 @@ class MilpInstance:
         return "!" + base if node >= self.n_vars else base
 
 
+def _instance(variables: list[Variable], rows: list[Row], name: str,
+              objective_name: str) -> MilpInstance:
+    """A ``MilpInstance`` of parts already checked, made without its
+    ``__post_init__`` checks: the parser's, whose rows skip
+    ``Row.__post_init__`` too, and ``strengthen``'s."""
+    inst = object.__new__(MilpInstance)
+    inst.variables, inst.rows = variables, rows
+    inst.name, inst.objective_name = name, objective_name
+    inst._index = {v.name: j for j, v in enumerate(variables)}
+    inst._binary = [v.is_binary for v in variables]
+    return inst
+
+
 @dataclass
 class KnapsackRow:
     """``sum a_j * lit_j <= rhs`` over literal node ids with all a_j > 0."""
@@ -195,6 +220,40 @@ def normalize_to_knapsack(row: Row, instance: MilpInstance) -> list[KnapsackRow]
                 lits.append((j + n, -a))
                 b += -a
         out.append(KnapsackRow(lits, b))
+    return out
+
+
+def unit_knapsacks(row: Row, instance: MilpInstance) -> list[tuple[list[int], float]] | None:
+    """The knapsack directions of a row whose terms are all binary with
+    coefficient exactly 1.0 or -1.0, as (literals sorted by id, rhs) in
+    ``normalize_to_knapsack``'s order.  Each rhs takes the same float
+    operations, in the same order, as there.  Any other row gives None.
+    """
+    binary = instance._binary
+    n = len(binary)
+    lits = []  # the <= direction's literals: x_j for +1, its complement for -1
+    for j, a in row.coeffs:
+        if not binary[j]:
+            return None
+        if a == 1.0:
+            lits.append(j)
+        elif a == -1.0:
+            lits.append(j + n)
+        else:
+            return None
+    out = []
+    if row.sense != SENSE_GE:
+        b = row.rhs
+        for v in lits:
+            if v >= n:
+                b += 1.0
+        out.append((sorted(lits), b))
+    if row.sense != SENSE_LE:
+        b = -row.rhs
+        for v in lits:
+            if v < n:
+                b += 1.0
+        out.append((sorted([v - n if v >= n else v + n for v in lits]), b))
     return out
 
 
@@ -404,24 +463,30 @@ def parse_mps(text: str) -> MilpInstance:
             objective_name, k = f"OBJ{k}", k + 1
     variables = [Variable(cname, lower, upper, integer, objective.get(j, 0.0))
                  for cname, (j, integer, lower, upper, _) in cols.items()]
-    constraints = [Row(rname, [(j, a) for j, a in sorted(entries.items()) if a != 0.0],
-                       sense, 0.0 if rhs is None else rhs)
-                   for rname, (sense, entries, rhs) in rows.items() if sense is not None]
-    return MilpInstance(variables, constraints, name=name, objective_name=objective_name)
+    constraints = []
+    for rname, (sense, entries, rhs) in rows.items():
+        if sense is not None:
+            row = object.__new__(Row)  # checked as read: no Row.__post_init__
+            row.name, row.sense, row.rhs = rname, sense, 0.0 if rhs is None else rhs
+            row.coeffs = sorted(entries.items())
+            if 0.0 in entries.values():
+                row.coeffs = [(j, a) for j, a in row.coeffs if a != 0.0]
+            constraints.append(row)
+    return _instance(variables, constraints, name, objective_name)
 
 
 def write_mps(instance: MilpInstance) -> str:
     """Serialize an instance, column by column.
 
-    ``parse_mps(write_mps(m)) == m`` for every parsed model, and for every
-    model whose rows list their coefficients in column order, as the parser
-    and ``literals_to_row`` build them, unless a row or the objective is
-    named ``'MARKER'``; any other row parses back with its coefficients
-    sorted by column.  A name that would not parse back raises
-    ``ValueError`` naming the first one in the file's order: a model name
-    holding whitespace, an objective, row or variable name that is empty or
-    holds whitespace, or a variable name starting with ``*``, which would
-    begin a comment line.
+    Whenever it returns, ``parse_mps(write_mps(m)) == m`` for every parsed
+    model, and for every model whose rows list their coefficients in column
+    order, as the parser and ``literals_to_row`` build them; any other row
+    parses back with its coefficients sorted by column.  A name that would
+    not parse back raises ``ValueError`` naming the first one in the file's
+    order: a model name holding whitespace, an objective, row or variable
+    name that is empty or holds whitespace, a variable name starting with
+    ``*``, which would begin a comment line, or an objective or row named
+    ``'MARKER'``, whose COLUMNS lines would read as marker lines.
     """
     if instance.name and instance.name.split() != [instance.name]:
         raise ValueError(f"model name {instance.name!r} holds whitespace")
@@ -429,7 +494,8 @@ def write_mps(instance: MilpInstance) -> str:
                         ("row", [row.name for row in instance.rows]),
                         ("variable", [v.name for v in instance.variables])):
         for name in names:
-            if name.split() != [name] or kind == "variable" and name[0] == "*":
+            if (name.split() != [name]
+                    or (name[0] == "*" if kind == "variable" else name == "'MARKER'")):
                 raise ValueError(f"{kind} name {name!r} would not parse back")
     out = [f"NAME {instance.name}".rstrip()]
     out.append("ROWS")

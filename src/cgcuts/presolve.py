@@ -2,10 +2,11 @@
 
 Each set-packing row (at least two literals, unit coefficients and rhs 1
 in the knapsack form that ``normalize_to_knapsack`` writes, so
-complements qualify too) is extended greedily over the conflict graph;
-the extended row replaces it and every other collected set-packing row
-whose literal set the extension covers is dropped as dominated.
-Everything else in the instance is left untouched.
+complements qualify too; a +-1 row is read through ``unit_knapsacks``,
+which gives the same literals and rhs) is extended greedily over the
+conflict graph; the extended row replaces it and every other collected
+set-packing row whose literal set the extension covers is dropped as
+dominated.  Everything else in the instance is left untouched.
 
 An extension may hold both literals of one variable x_j, since x_j
 always conflicts with its complement.  In the written row x_j and
@@ -27,8 +28,10 @@ from .model import (
     EPS,
     SENSE_EQ,
     MilpInstance,
+    _instance,
     literals_to_row,
     normalize_to_knapsack,
+    unit_knapsacks,
 )
 
 
@@ -80,14 +83,18 @@ def strengthen(instance: MilpInstance, g: ConflictGraph,
         raise ValueError(f"alpha_max must be >= 0, not {alpha_max!r}")
     eligible: list[tuple[int, frozenset[int]]] = []
     for ri, row in enumerate(instance.rows):
-        # An equality is skipped before normalizing, which would write both
+        # An equality is skipped before it is read, which would give both
         # of its directions only to have them dropped.
         if row.sense == SENSE_EQ or not 2 <= len(row.coeffs) <= alpha_max:
             continue
-        for krow in normalize_to_knapsack(row, instance):
-            if (abs(krow.rhs - 1.0) <= EPS
-                    and all(abs(a - 1.0) <= EPS for _, a in krow.literals)):
-                eligible.append((ri, frozenset(lit for lit, _ in krow.literals)))
+        units = unit_knapsacks(row, instance)
+        if units is None:
+            units = [([lit for lit, _ in krow.literals], krow.rhs)
+                     for krow in normalize_to_knapsack(row, instance)
+                     if all(abs(a - 1.0) <= EPS for _, a in krow.literals)]
+        for lits, b in units:
+            if abs(b - 1.0) <= EPS:
+                eligible.append((ri, frozenset(lits)))
 
     alive = dict(eligible)
     # A row inside an extension has its smallest literal there, so each row
@@ -130,9 +137,10 @@ def strengthen(instance: MilpInstance, g: ConflictGraph,
         else:
             new_rows.append(row)
 
-    result = MilpInstance(list(instance.variables), new_rows,
-                          name=instance.name,
-                          objective_name=instance.objective_name)
+    # Every kept row and variable is the input's, and each new row has a
+    # fresh name, so the result needs no second check.
+    result = _instance(list(instance.variables), new_rows, instance.name,
+                       instance.objective_name)
     return StrengthenReport(
         extended=sorted(added.items()),
         removed_rows=sorted(removed),

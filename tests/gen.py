@@ -77,6 +77,39 @@ def crossed_clique_instance(rng: random.Random) -> tuple[MilpInstance, list[int]
     return MilpInstance(binary_vars(n), rows, name="CROSSED"), clique, tuples
 
 
+# A row named 'MARKER' (the parser keeps it, with no entries) over one
+# binary, and an objective named 'MARKER' with a column whose only entry is
+# 0.0, which the writer would declare by a zero objective line.  Written
+# out, either name's COLUMNS lines would read as marker lines.
+MARKER_ROW_MPS = """\
+NAME M
+ROWS
+ N OBJ
+ L 'MARKER'
+COLUMNS
+    x OBJ 1.0
+RHS
+    RHS 'MARKER' 1.0
+BOUNDS
+ BV BND x
+ENDATA
+"""
+MARKER_OBJECTIVE_MPS = """\
+NAME M
+ROWS
+ N 'MARKER'
+ L r
+COLUMNS
+    x r 0.0
+    y r 1.0
+RHS
+BOUNDS
+ BV BND x
+ BV BND y
+ENDATA
+"""
+
+
 def pair_rows(pairs: list[tuple[int, int]], offset: int = 0) -> list[Row]:
     return [
         Row(f"e{offset + i}", [(a, 1.0), (b, 1.0)], "<=", 1.0)

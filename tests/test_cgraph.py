@@ -14,7 +14,7 @@ from cgcuts import (
 )
 from cgcuts.bk import find_cliques
 from cgcuts.cgraph import RowCliques, detect_cliques_compressed, greedy_extend
-from cgcuts.model import EPS, KnapsackRow
+from cgcuts.model import EPS, KnapsackRow, Variable, unit_knapsacks
 from cgcuts.oracle import probe_pairs
 from cgcuts.sep_clique import candidate_order_key, fractional_subgraph
 
@@ -396,6 +396,83 @@ def test_build_matches_set_based_pairwise_expansion():
     # Every size above 0 dissolves some first cliques and some tuples.
     assert all(dissolved[kind, mcs] > 0 for kind in ("first", "tuples")
                for mcs in (2, 3, 4, 512)), dissolved
+
+
+def _unit_rows(rng, count):
+    """Rows of one to four terms over four binaries and one continuous
+    column, in any column order: coefficients of +-1, or one of them
+    1 +- 1e-9; every sense; rhs from -1, 0, 0.3, 1, 1.5, 2 - EPS, 2 - EPS / 2,
+    2.  At 2 - EPS the pair sum 2.0 equals rhs + EPS exactly, so no pair
+    overloads it."""
+    rhs_values = (-1.0, 0.0, 0.3, 1.0, 1.5, 2.0 - EPS, 2.0 - EPS / 2, 2.0)
+    rows = []
+    for i in range(count):
+        columns = rng.sample(range(5), rng.randint(1, 4))
+        coeffs = [(j, rng.choice((-1.0, 1.0))) for j in columns]
+        if rng.random() < 0.15:
+            t = rng.randrange(len(coeffs))
+            coeffs[t] = (coeffs[t][0], coeffs[t][1] * rng.choice((1 + 1e-9, 1 - 1e-9)))
+        rows.append(Row(f"r{i}", coeffs, rng.choice(("<=", ">=", "=")), rng.choice(rhs_values)))
+    variables = gen.binary_vars(4) + [Variable("c", 0.0, 10.0, False)]
+    return MilpInstance(variables, rows)
+
+
+def test_unit_knapsacks_give_the_cliques_detection_finds():
+    inst = _unit_rows(random.Random(31), 3000)
+    n = inst.n_vars
+    seen = Counter()
+    for row in inst.rows:
+        units = unit_knapsacks(row, inst)
+        krows = normalize_to_knapsack(row, inst)
+        if units is None:
+            # Only a row touching the continuous column or holding a
+            # coefficient that is not exactly 1 in magnitude is refused.
+            assert any(j == 4 or abs(a) != 1.0 for j, a in row.coeffs), row
+            seen["refused, continuous" if any(j == 4 for j, _ in row.coeffs)
+                 else "refused, 1 +- 1e-9"] += 1
+            continue
+        assert units == [(sorted(lit for lit, _ in k.literals), k.rhs) for k in krows], row
+        # All coefficients are 1: detection puts a direction's literals in
+        # one clique, with no tuples, when two of them overload its rhs.
+        cliques = [RowCliques(lits if len(lits) > 1 and 2.0 > b + EPS else [], [])
+                   for lits, b in units]
+        assert cliques == [detect_cliques_compressed(k) for k in krows], row
+        seen[row.sense] += 1
+        seen["complemented"] += any(lit >= n for lits, _ in units for lit in lits)
+        seen["one term"] += len(row.coeffs) == 1
+        seen["clique"] += any(c.initial for c in cliques)
+        seen["no clique, two or more terms"] += (len(row.coeffs) > 1
+                                                 and not any(c.initial for c in cliques))
+        seen["out of column order"] += row.coeffs != sorted(row.coeffs)
+    for rhs in (-1.0, 0.0, 0.3, 1.0, 1.5, 2.0 - EPS, 2.0 - EPS / 2, 2.0):
+        seen[f"rhs {rhs}"] = sum(r.rhs == rhs and unit_knapsacks(r, inst) is not None
+                                 for r in inst.rows)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_build_reads_unit_rows_as_the_knapsack_path_does():
+    """``build`` takes +-1 rows as cliques without detection; its graph is
+    the reference's, which sends every row through detection, at sizes
+    that store and that dissolve the long rows."""
+    rng = random.Random(37)
+    models = [_unit_rows(rng, rng.randint(1, 12)) for _ in range(60)]
+    models += [gen.random_setpacking_instance(rng) for _ in range(40)]
+    # A 40-literal +-1 row of each sense, 14 of its terms negative, whose
+    # knapsack form has rhs 1 in one direction, over pair rows.
+    for sense, rhs in (("<=", -13.0), (">=", 25.0), ("=", -13.0)):
+        long_row = Row("long", [(j, 1.0 if j % 3 else -1.0) for j in range(40)], sense, rhs)
+        models.append(MilpInstance(gen.binary_vars(40), [long_row] + gen.pair_rows(
+            [(j, j + 1) for j in range(0, 40, 2)])))
+    stored = 0
+    for inst in models:
+        for mcs in (0, 2, 3, 16, 512):
+            g = build(inst, mcs)
+            st = g.store
+            got = (g.adjlist, st.first, st.first_stored, st.addtl, st.blocks,
+                   g.cliques_detected)
+            assert got == _reference_build(inst, mcs), (inst.rows, mcs)
+            stored += st.first_stored.count(True)
+    assert stored >= 3 * 4, stored  # each long row is stored at 0, 2, 3 and 16
 
 
 def test_build_of_a_dissolved_row_peaks_near_its_graph_size():

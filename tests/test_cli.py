@@ -512,3 +512,13 @@ def test_strengthen_output_parses_when_a_row_is_named_obj(tmp_path, capsys):
     assert inst.objective_name == "OBJ3"
     assert [r.name for r in inst.rows] == ["OBJ", "OBJ2"]
     assert inst == parse_mps(mpath.read_text())
+
+
+def test_strengthen_exits_2_on_a_row_or_objective_named_marker(tmp_path, capsys):
+    for kind, text in (("row", gen.MARKER_ROW_MPS), ("objective", gen.MARKER_OBJECTIVE_MPS)):
+        mpath, out = tmp_path / "m.mps", tmp_path / "o.mps"
+        mpath.write_text(text)
+        assert main(["strengthen", str(mpath), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {kind} name \"'MARKER'\" would not parse back\n", err
+        assert not out.exists()

@@ -665,3 +665,32 @@ def test_instance_construction_messages(names, rows, message):
     with pytest.raises(ValueError) as exc:
         MilpInstance([Variable(name) for name in names], rows)
     assert str(exc.value) == message
+
+
+def test_write_rejects_a_row_or_objective_named_marker():
+    one_row = MilpInstance([Variable("x", 0.0, 1.0, True)], [Row("'MARKER'", [(0, 1.0)], "<=", 1.0)])
+    for inst, message in [
+            (one_row, "row name \"'MARKER'\" would not parse back"),
+            (parse_mps(gen.MARKER_ROW_MPS), "row name \"'MARKER'\" would not parse back"),
+            (parse_mps(gen.MARKER_OBJECTIVE_MPS), "objective name \"'MARKER'\" would not parse back")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_mps(inst)
+    # A column may hold the name: its lines' second token is a row's name.
+    inst = MilpInstance([Variable("'MARKER'", 0.0, 1.0, True)], [Row("r", [(0, 1.0)], "<=", 1.0)])
+    assert parse_mps(write_mps(inst)) == inst
+
+
+def test_parsed_model_equals_its_checked_construction():
+    """``parse_mps`` makes its rows and instance with no second check; they
+    equal the ones ``Row`` and ``MilpInstance`` make with theirs."""
+    rng = random.Random(17)
+    texts = [MINIMAL_MPS, gen.MARKER_OBJECTIVE_MPS]
+    texts += [write_mps(gen.random_binary_instance(rng, guard_fixings=False)) for _ in range(20)]
+    for text in texts:
+        inst = parse_mps(text)
+        checked = MilpInstance(list(inst.variables),
+                               [Row(r.name, list(r.coeffs), r.sense, r.rhs) for r in inst.rows],
+                               name=inst.name, objective_name=inst.objective_name)
+        assert inst == checked
+        assert all(type(r) is Row for r in inst.rows)
+        assert inst._index == checked._index and inst._binary == checked._binary

@@ -108,6 +108,18 @@ def test_strengthen_idempotent_on_golden():
     assert report.instance == once
 
 
+def test_strengthen_result_equals_its_checked_construction():
+    """``strengthen`` makes its result with no second check; it equals the
+    instance ``MilpInstance`` makes, with its checks, of the same parts."""
+    for seed in range(10):
+        inst = gen.random_setpacking_instance(random.Random(seed))
+        out = strengthen(inst, build(inst)).instance
+        checked = MilpInstance(list(out.variables), list(out.rows), name=out.name,
+                               objective_name=out.objective_name)
+        assert out == checked
+        assert out._index == checked._index and out._binary == checked._binary
+
+
 def test_strengthen_no_set_packing_rows():
     inst = gen.knapsack_example_instance()
     g = build(inst)
