@@ -28,13 +28,14 @@ the split is invisible to callers.
 
 Nothing caches a literal's conflicts.  For a literal in no stored block
 ``neighbors`` returns its adjacency tuple itself, and for any other it
-builds a new tuple from its blocks.  ``degree`` counts a literal in one
-block from the block's size, ``conflicts_among`` and ``conflicting``
-intersect the candidates with the tuple and with each block's member
-set, cached once per block, and ``greedy_extend`` tests only the
-candidates outside a stored clique that holds its whole seed.  Counting
-the edges of a stored k-literal clique or extending a row inside it thus
-costs O(k), not O(k^2).
+builds a new tuple from its blocks.  ``degree`` counts a literal in
+stored blocks from the size of their union, memoized per block list,
+``conflicts_among`` and ``conflicting`` intersect the candidates with the
+tuple and with each block's member set, cached once per block, and
+``greedy_extend`` tests only the candidates outside a stored clique that
+holds its whole seed.  Counting the edges of stored k-literal cliques,
+overlapping or not, or extending a row inside one thus costs O(k), not
+O(k^2).
 
 ``greedy_extend`` grows a set of literals by intersecting conflicts;
 clique strengthening, clique-cut extension and odd-wheel lifting all call
@@ -46,22 +47,21 @@ neighborhood runs empty, not every member's list.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
 from operator import itemgetter
-from typing import Callable, Iterable
 
 from .model import (
     EPS,
     KnapsackRow,
     MilpInstance,
+    _Record,
     complement_node,
     normalize_to_knapsack,
     unit_knapsacks,
 )
 
 
-@dataclass
-class RowCliques:
+class RowCliques(_Record):
     """Cliques of one knapsack row in compressed form.
 
     ``initial`` is the first clique in non-decreasing coefficient order.
@@ -69,8 +69,10 @@ class RowCliques:
     ``initial`` where its shared suffix starts.
     """
 
-    initial: list[int]
-    addtl: list[tuple[int, int]]
+    _fields = ("initial", "addtl")
+
+    def __init__(self, initial: list[int], addtl: list[tuple[int, int]]):
+        self.initial, self.addtl = initial, addtl
 
 
 def detect_cliques_compressed(row: KnapsackRow) -> RowCliques:
@@ -111,8 +113,7 @@ def detect_cliques(row: KnapsackRow) -> list[frozenset[int]]:
     return out
 
 
-@dataclass
-class CliqueStore:
+class CliqueStore(_Record):
     """Tuple-compressed clique storage.
 
     ``first[c]`` holds the initial clique of the c-th clique-bearing row in
@@ -126,31 +127,45 @@ class CliqueStore:
     than ``min_clq_size`` are kept, and none reads a dissolved first
     clique: detection gives every tuple l >= 2, so a tuple has at most
     ``len(first[c])`` members, and a kept one leaves ``first[c]`` larger
-    than ``min_clq_size`` too, hence stored.
+    than ``min_clq_size`` too, hence stored.  Each list not given starts
+    empty.
     """
 
-    first: list[list[int]] = field(default_factory=list)
-    addtl: list[tuple[int, int, int]] = field(default_factory=list)
-    first_stored: list[bool] = field(default_factory=list)
-    blocks: list[list[tuple[int, int]]] = field(default_factory=list)
+    _fields = ("first", "addtl", "first_stored", "blocks")
+
+    def __init__(self, first: list[list[int]] | None = None,
+                 addtl: list[tuple[int, int, int]] | None = None,
+                 first_stored: list[bool] | None = None,
+                 blocks: list[list[tuple[int, int]]] | None = None):
+        self.first = [] if first is None else first
+        self.addtl = [] if addtl is None else addtl
+        self.first_stored = [] if first_stored is None else first_stored
+        self.blocks = [] if blocks is None else blocks
 
 
-@dataclass
-class ConflictGraph:
-    """Immutable once built; safe for concurrent readers (the block-member
-    cache only memoizes already-derivable answers).
+class ConflictGraph(_Record):
+    """Immutable once built; safe for concurrent readers (the memos only
+    hold already-derivable answers).
 
     The literals conflicting with a are ``adjlist[a]`` and the members of
     ``store.blocks[a]``, less a itself.  ``adjlist[a]`` is a sorted tuple
     that holds a's complement and never a: every clique comes from one
-    row, and a row holds each variable once."""
+    row, and a row holds each variable once.
 
-    n_vars: int
-    store: CliqueStore
-    adjlist: list[tuple[int, ...]]
-    cliques_detected: int = 0
-    _sets: dict[tuple[int, int], frozenset[int]] = field(default_factory=dict, repr=False,
-                                                         compare=False)
+    Two memos, filled on first use and left out of ``==`` and ``repr``:
+    ``_sets`` maps a stored block (c, s) to the frozenset of its members,
+    and ``_sizes`` maps a literal's block list, as a tuple, to the size of
+    the union of its blocks' members, which every literal with that list
+    shares."""
+
+    _fields = ("n_vars", "store", "adjlist", "cliques_detected")
+
+    def __init__(self, n_vars: int, store: CliqueStore, adjlist: list[tuple[int, ...]],
+                 cliques_detected: int = 0):
+        self.n_vars, self.store, self.adjlist = n_vars, store, adjlist
+        self.cliques_detected = cliques_detected
+        self._sets: dict[tuple[int, int], frozenset[int]] = {}
+        self._sizes: dict[tuple[tuple[int, int], ...], int] = {}
 
     @property
     def n_nodes(self) -> int:
@@ -195,18 +210,24 @@ class ConflictGraph:
     def degree(self, a: int) -> int:
         """Number of literals conflicting with a, complement included.
         Builds no neighbor tuple: a literal in no stored block counts its
-        adjacency tuple, and a literal in one stored block counts the
-        block's members other than itself plus its pairwise conflicts
-        outside the block."""
+        adjacency tuple, and any other counts the union of its blocks'
+        members other than itself, whose size is memoized per block list,
+        plus its pairwise conflicts outside every block.  So it costs
+        O(len(adjlist[a]) * len(blocks[a])) once the union is known, not
+        the size of the union."""
         blocks = self.store.blocks[a]
         if not blocks:
             return len(self.adjlist[a])
-        if len(blocks) > 1:
-            return len(self._near(a))
-        [(c, s)] = blocks
-        members, adj = self._members(c, s), self.adjlist[a]
-        # The block holds a only when it is a's own stored clique (s == 0).
-        return len(members) - (s == 0) + len(adj) - len(members.intersection(adj))
+        sets = [self._members(c, s) for c, s in blocks]
+        key = tuple(blocks)
+        size = self._sizes.get(key)
+        if size is None:
+            size = self._sizes[key] = len(frozenset().union(*sets))
+        outside = set(self.adjlist[a])
+        for members in sets:
+            outside = outside.difference(members)  # walks outside, not a larger block
+        # The blocks hold a only in its own stored cliques (s == 0).
+        return size - any(s == 0 for _, s in blocks) + len(outside)
 
     def conflicts_among(self, lits: Iterable[int]) -> dict[int, list[int]]:
         """For each literal of ``lits``, the sorted literals of ``lits``

@@ -29,9 +29,15 @@ token index, in one loop that holds each entry check once.
 A model is checked once, where it enters the library.  ``Row(...)`` and
 ``MilpInstance(...)`` check what a caller hands them.  The parser checks
 every name, index, sense and coefficient as it reads the lines, so it
-makes its rows without ``Row.__post_init__`` and its instance through
+makes its rows without ``Row.__init__`` and its instance through
 ``_instance``, with no second check.  ``strengthen`` makes its result
 through ``_instance`` too, from rows and variables already checked.
+
+The records (``Variable``, ``Row``, ``MilpInstance``, ``KnapsackRow``,
+``FractionalPoint`` and those of ``cgraph`` and ``presolve``) are plain
+classes over ``_Record``, which compares and prints them as
+``dataclasses`` would, so importing the CLI loads neither ``dataclasses``
+nor ``typing``.
 
 ``unit_knapsacks`` reads a row whose terms are all binary with
 coefficient 1 or -1 into the literals and rhs of each knapsack direction,
@@ -42,8 +48,7 @@ as ``normalize_to_knapsack`` would write them, without a ``KnapsackRow``;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from collections.abc import Iterable
 
 # Absolute tolerance for coefficient/rhs comparisons ("a + b > rhs" means
 # a + b > rhs + EPS).
@@ -74,73 +79,100 @@ def node_var(node: int, n_vars: int) -> int:
     return node - n_vars if node >= n_vars else node
 
 
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    lower: float = 0.0
-    upper: float = math.inf
-    is_integer: bool = False
-    objective_coeff: float = 0.0
+class _Record:
+    """Base of the record classes: ``==`` and ``repr`` over the fields named
+    in ``_fields``, in order, as ``dataclasses`` writes them.  A record
+    equals only a record of its own class, and is unhashable unless its
+    class defines ``__hash__``."""
 
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValueError(f"variable {self.name}: lower {self.lower} > upper {self.upper}")
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Variable(_Record):
+    """An immutable, hashable column."""
+
+    _fields = ("name", "lower", "upper", "is_integer", "objective_coeff")
+
+    def __init__(self, name: str, lower: float = 0.0, upper: float = math.inf,
+                 is_integer: bool = False, objective_coeff: float = 0.0):
+        if lower > upper:
+            raise ValueError(f"variable {name}: lower {lower} > upper {upper}")
+        self.__dict__.update(name=name, lower=lower, upper=upper, is_integer=is_integer,
+                             objective_coeff=objective_coeff)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
 
     @property
     def is_binary(self) -> bool:
         return self.is_integer and self.lower == 0.0 and self.upper == 1.0
 
 
-@dataclass(slots=True)
-class Row:
+class Row(_Record):
     """A linear constraint ``sum coeffs <sense> rhs`` over variable indices."""
 
-    name: str
-    coeffs: list[tuple[int, float]]
-    sense: str
-    rhs: float
+    __slots__ = _fields = ("name", "coeffs", "sense", "rhs")
 
-    def __post_init__(self):
-        if self.sense not in _SENSES:
-            raise ValueError(f"row {self.name}: bad sense {self.sense!r}")
+    def __init__(self, name: str, coeffs: list[tuple[int, float]], sense: str, rhs: float):
+        self.name, self.coeffs, self.sense, self.rhs = name, coeffs, sense, rhs
+        if sense not in _SENSES:
+            raise ValueError(f"row {name}: bad sense {sense!r}")
         seen = set()
-        for j, a in self.coeffs:
+        for j, a in coeffs:
             if j in seen:
-                raise ValueError(f"row {self.name}: duplicate variable index {j}")
+                raise ValueError(f"row {name}: duplicate variable index {j}")
             seen.add(j)
             if not math.isfinite(a) or a == 0.0:
-                raise ValueError(f"row {self.name}: coefficient {a} on index {j}")
+                raise ValueError(f"row {name}: coefficient {a} on index {j}")
 
 
-@dataclass
-class MilpInstance:
+class MilpInstance(_Record):
     """Variables and rows of a model.
 
     The name index and the binarity list (one ``Variable.is_binary`` per
     column, read by ``is_binary``, ``normalize_to_knapsack`` and
     ``strengthen``) are taken at construction; later edits to
-    ``variables`` are not seen by any of them.
+    ``variables`` are not seen by any of them.  Neither takes part in
+    ``==`` or ``repr``.
     """
 
-    variables: list[Variable]
-    rows: list[Row]
-    name: str = ""
-    objective_name: str = "OBJ"
-    _index: dict[str, int] = field(init=False, repr=False, compare=False, default_factory=dict)
-    _binary: list[bool] = field(init=False, repr=False, compare=False, default_factory=list)
+    _fields = ("variables", "rows", "name", "objective_name")
 
-    def __post_init__(self):
-        for i, v in enumerate(self.variables):
+    def __init__(self, variables: list[Variable], rows: list[Row], name: str = "",
+                 objective_name: str = "OBJ"):
+        self.variables, self.rows, self.name = variables, rows, name
+        self.objective_name = objective_name
+        self._index: dict[str, int] = {}
+        for i, v in enumerate(variables):
             if v.name in self._index:
                 raise ValueError(f"duplicate variable name {v.name}")
             self._index[v.name] = i
-        self._binary = [v.is_binary for v in self.variables]
+        self._binary = [v.is_binary for v in variables]
         row_names = set()
-        n = len(self.variables)
-        for r in self.rows:
+        n = len(variables)
+        for r in rows:
             if r.name in row_names:
                 raise ValueError(f"duplicate row name {r.name}")
-            if r.name == self.objective_name:
+            if r.name == objective_name:
                 raise ValueError(f"row {r.name} has the objective's name")
             row_names.add(r.name)
             for j, _ in r.coeffs:
@@ -169,9 +201,9 @@ class MilpInstance:
 
 def _instance(variables: list[Variable], rows: list[Row], name: str,
               objective_name: str) -> MilpInstance:
-    """A ``MilpInstance`` of parts already checked, made without its
-    ``__post_init__`` checks: the parser's, whose rows skip
-    ``Row.__post_init__`` too, and ``strengthen``'s."""
+    """A ``MilpInstance`` of parts already checked, made without the
+    checks of its ``__init__``: the parser's, whose rows skip those of
+    ``Row.__init__`` too, and ``strengthen``'s."""
     inst = object.__new__(MilpInstance)
     inst.variables, inst.rows = variables, rows
     inst.name, inst.objective_name = name, objective_name
@@ -180,12 +212,13 @@ def _instance(variables: list[Variable], rows: list[Row], name: str,
     return inst
 
 
-@dataclass
-class KnapsackRow:
+class KnapsackRow(_Record):
     """``sum a_j * lit_j <= rhs`` over literal node ids with all a_j > 0."""
 
-    literals: list[tuple[int, float]]
-    rhs: float
+    _fields = ("literals", "rhs")
+
+    def __init__(self, literals: list[tuple[int, float]], rhs: float):
+        self.literals, self.rhs = literals, rhs
 
 
 def normalize_to_knapsack(row: Row, instance: MilpInstance) -> list[KnapsackRow]:
@@ -257,25 +290,24 @@ def unit_knapsacks(row: Row, instance: MilpInstance) -> list[tuple[list[int], fl
     return out
 
 
-@dataclass
-class FractionalPoint:
+class FractionalPoint(_Record):
     """A (fractional) solution over binary variables, values in [0, 1].
 
     Missing binary variables read as 0.  Reduced costs are optional and used
     only to order lifting candidates.
     """
 
-    values: dict[int, float]
-    reduced_costs: dict[int, float] | None = None
+    _fields = ("values", "reduced_costs")
 
-    def __post_init__(self):
-        for j, v in self.values.items():
+    def __init__(self, values: dict[int, float], reduced_costs: dict[int, float] | None = None):
+        for j, v in values.items():
             if not -EPS <= v <= 1.0 + EPS:  # NaN fails this too
                 raise ValueError(f"value {v} for variable index {j} outside [0, 1]")
-        for j, rc in (self.reduced_costs or {}).items():
+        for j, rc in (reduced_costs or {}).items():
             if math.isnan(rc):
                 raise ValueError(f"reduced cost NaN for variable index {j}")
-        self.values = {j: min(1.0, max(0.0, v)) for j, v in self.values.items()}
+        self.values = {j: min(1.0, max(0.0, v)) for j, v in values.items()}
+        self.reduced_costs = reduced_costs
 
     def lit_value(self, node: int, n_vars: int) -> float:
         v = self.values.get(node_var(node, n_vars), 0.0)
@@ -466,7 +498,7 @@ def parse_mps(text: str) -> MilpInstance:
     constraints = []
     for rname, (sense, entries, rhs) in rows.items():
         if sense is not None:
-            row = object.__new__(Row)  # checked as read: no Row.__post_init__
+            row = object.__new__(Row)  # checked as read: not through Row.__init__
             row.name, row.sense, row.rhs = rname, sense, 0.0 if rhs is None else rhs
             row.coeffs = sorted(entries.items())
             if 0.0 in entries.values():

@@ -20,8 +20,7 @@ its complement.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
 from .cgraph import ConflictGraph, greedy_extend
 from .model import (
@@ -29,20 +28,22 @@ from .model import (
     SENSE_EQ,
     MilpInstance,
     _instance,
+    _Record,
     literals_to_row,
     normalize_to_knapsack,
     unit_knapsacks,
 )
 
 
-@dataclass
-class StrengthenReport:
+class StrengthenReport(_Record):
     """extended: (origin row index, literals added); removed_rows: dominated
     rows dropped outright.  ``instance`` is the rewritten model."""
 
-    extended: list[tuple[int, int]]
-    removed_rows: list[int]
-    instance: MilpInstance
+    _fields = ("extended", "removed_rows", "instance")
+
+    def __init__(self, extended: list[tuple[int, int]], removed_rows: list[int],
+                 instance: MilpInstance):
+        self.extended, self.removed_rows, self.instance = extended, removed_rows, instance
 
 
 def extend_clique(g: ConflictGraph, clique: Iterable[int]) -> frozenset[int]:

@@ -239,6 +239,33 @@ def test_neighbors_symmetry_and_oracle_equivalence():
     _assert_block_shapes_covered(covered)
 
 
+def test_degree_counts_literals_in_overlapping_stored_blocks():
+    """``degree`` is the size of the conflict set when literals sit in
+    several stored blocks: a knapsack row's first clique and tuple
+    suffixes, overlapping set-packing and cover rows, and a repeated row,
+    all stored.  Its memo holds one size per distinct block list."""
+    rng = random.Random(41)
+    shapes = Counter()
+    for _ in range(30):
+        inst, _, _ = gen.crossed_clique_instance(rng)
+        rows = list(inst.rows)
+        for i in range(rng.randint(2, 6)):
+            support = rng.sample(range(inst.n_vars), rng.randint(3, 12))
+            sense, rhs = rng.choice((("<=", 1.0), (">=", len(support) - 1.0)))
+            rows.append(Row(f"o{i}", [(j, 1.0) for j in support], sense, rhs))
+        rows.append(Row("again", rows[-1].coeffs, rows[-1].sense, rows[-1].rhs))
+        inst = MilpInstance(inst.variables, rows)
+        for mcs in (1, 2, 4):
+            g = build(inst, min_clq_size=mcs)
+            for a, held in enumerate(g.store.blocks):
+                assert g.degree(a) == len(g._near(a)), (a, mcs)
+                shapes["blocks", min(len(held), 3)] += 1
+                shapes["suffix among several"] += len(held) > 1 and any(s for _, s in held)
+            assert len(g._sizes) == len({tuple(held) for held in g.store.blocks if held})
+    assert all(shapes["blocks", k] > 0 for k in range(4)), shapes
+    assert shapes["suffix among several"] > 0, shapes
+
+
 def test_storage_transparency():
     """Query answers are independent of where the split parameter lands."""
     rng = random.Random(24)

@@ -471,8 +471,10 @@ def test_cli_import_skips_oracle():
 
 
 def test_cli_import_skips_separators():
-    names = ["cgcuts.bk", "cgcuts.sep_clique", "cgcuts.sep_oddcycle", "logging", "heapq"]
-    proc = _run_python("-c", f"import sys, cgcuts.cli; "
+    # -S: a .pth file that site runs may import typing before cgcuts does.
+    names = ["cgcuts.bk", "cgcuts.sep_clique", "cgcuts.sep_oddcycle", "logging", "heapq",
+             "dataclasses", "inspect", "typing"]
+    proc = _run_python("-S", "-c", f"import sys, cgcuts.cli; "
                              f"print([m for m in {names!r} if m in sys.modules])")
     assert proc.returncode == 0 and proc.stdout == "[]\n"
 
