@@ -535,13 +535,18 @@ def write_mps(instance: MilpInstance) -> str:
     for row in instance.rows:
         out.append(f" {_SENSE_MPS[row.sense]} {row.name}")
 
-    entries: list[list[tuple[str, float]]] = [[] for _ in instance.variables]
+    # Each row name is padded once per row and each column name once per
+    # column: an entry is the padded row name and the value's repr, and a
+    # COLUMNS line puts the padded column name before it.
+    obj = f"{instance.objective_name:<10} "
+    entries: list[list[str]] = [[] for _ in instance.variables]
     for j, v in enumerate(instance.variables):
         if v.objective_coeff != 0.0:
-            entries[j].append((instance.objective_name, v.objective_coeff))
+            entries[j].append(obj + repr(v.objective_coeff))
     for row in instance.rows:
+        head = f"{row.name:<10} "
         for j, a in row.coeffs:
-            entries[j].append((row.name, a))
+            entries[j].append(head + repr(a))
 
     out.append("COLUMNS")
     in_integer = False
@@ -553,10 +558,9 @@ def write_mps(instance: MilpInstance) -> str:
             out.append("    MARKER                 'MARKER'                 'INTEND'")
             in_integer = False
         # A column with no entries must still be declared somewhere.
-        if not entries[j]:
-            entries[j].append((instance.objective_name, 0.0))
-        for rname, value in entries[j]:
-            out.append(f"    {v.name:<10} {rname:<10} {value!r}")
+        col = f"    {v.name:<10} "
+        out += [col + entry for entry in entries[j] or [obj + "0.0"]]
+        entries[j] = []  # its lines are made: let the entries go
     if in_integer:
         out.append("    MARKER                 'MARKER'                 'INTEND'")
 

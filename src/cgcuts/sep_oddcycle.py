@@ -6,9 +6,13 @@ graph joining opposite-side copies of j and k, weighted
 the two copies of a literal projects to a closed odd walk; its simple odd
 cycles of length >= 5 whose induced edges cost less than 0.5 are violated
 cuts; the cost of a cycle's chords is read from the same clamped arc
-weights.  The search keeps its distances and predecessors in flat lists
-indexed by auxiliary node id, and literals with no auxiliary edge are not
-searched from, since their two copies cannot be joined.
+weights.  The search numbers only the literals with an auxiliary edge and
+keeps its distances and predecessors in flat lists over that core: a
+literal with no edge lies on no path, and its two copies cannot be
+joined.  The core keeps ``build_auxiliary``'s order, so every
+``(dist, node)`` heap comparison has the same outcome as over all active
+literals.  A relaxation pushes its heap entry only when it is no farther
+than the target, since a farther one would pop after the target.
 
 No search enters a dead end, a literal with exactly one auxiliary
 neighbor: a simple path between two other nodes never passes through it,
@@ -35,8 +39,8 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 from .cgraph import ConflictGraph, greedy_extend
 from .model import FractionalPoint, Row, literals_to_row
@@ -117,6 +121,15 @@ def _shortest_path(adj: list[list[tuple[int, float]]], source: int,
     is the mirror image of the search from ``2b + 1`` to ``2b``: that
     search returns ``[v ^ 1 for v in path]``.  An unreachable target is
     clean, since reachability is the same on both sides.
+
+    Every strict improvement sets ``dist[v]`` and ``prev[v]`` and checks
+    for a tie, but ``(nd, v)`` is pushed only when ``nd <= dist[target]``.
+    Once the target has a finite distance its entry ``(dist[target],
+    target)`` is on the heap, and that distance only falls, so a skipped
+    entry would compare greater than it and pop after the search stopped.
+    The pops are therefore those of the search that pushes every entry,
+    and with them every relaxation and tie check: the path and the flag
+    are the same.
     """
     push, pop = heapq.heappush, heapq.heappop
     inf = float("inf")
@@ -138,7 +151,8 @@ def _shortest_path(adj: list[list[tuple[int, float]]], source: int,
                     clean = False
                 dist[v] = nd
                 prev[v] = u
-                push(heap, (nd, v))
+                if nd <= dist[target]:
+                    push(heap, (nd, v))
     if dist[target] == inf:
         return None, True
     path = [target]
@@ -200,23 +214,27 @@ def separate_odd_cycles(g: ConflictGraph, point: FractionalPoint) -> list[OddCyc
     """
     value = point.literal_values(g.n_vars)
     aux = build_auxiliary(g, point)
-    lits, adj = aux.nodes, aux.adj
-    dead = [len(adj[2 * i]) == 1 for i in range(len(lits))]
-    live = [[arc for arc in arcs if not dead[arc[0] >> 1]] for arcs in adj]
+    # Number only the literals with an edge, in build_auxiliary's order.
+    core = [i for i, arcs in enumerate(aux.adj[::2]) if arcs]
+    lits = [aux.nodes[i] for i in core]
+    ids = [0] * len(aux.nodes)  # local index -> core id of its side-0 copy
+    for k, i in enumerate(core):
+        ids[i] = 2 * k
+    ends = [len(arcs) == 1 for arcs in aux.adj[::2]]  # dead ends, by local index
+    dead = [ends[i] for i in core]
+    live = [[(ids[v >> 1] | v & 1, w) for v, w in aux.adj[u] if not ends[v >> 1]]
+            for i in core for u in (2 * i, 2 * i + 1)]
     # Per literal, its side-0 arcs: edge weight keyed by the side-1 copy.
-    weight = [dict(arcs) for arcs in adj[::2]]
+    weight = [{ids[v >> 1] | 1: w for v, w in aux.adj[2 * i]} for i in core]
     kept: dict[tuple[int, ...], None] = {}
     # Per literal, whether its own search ran and was clean.
     clean = [False] * len(lits)
     for local in range(len(lits)):
-        arcs = adj[2 * local]
-        if not arcs:
-            continue  # no edge: the two copies cannot be joined
         if dead[local]:
             # The path leaves by the one arc and must return by its twin,
             # from the other copy of the same neighbor.
-            [(first, w)] = arcs
-            last = first ^ 1
+            [(first, w)] = aux.adj[2 * core[local]]
+            last = ids[first >> 1]
             if dead[last >> 1]:
                 continue  # a lone edge holds no cycle
             if w == 0.0 and clean[last >> 1]:

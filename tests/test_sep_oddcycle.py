@@ -394,13 +394,16 @@ def _reference_auxiliary(g, point):
 
 def _reference_shortest_path(adj, source, target):
     """Dijkstra from ``source`` to ``target`` with ``(dist, node)`` heap
-    entries, strict relaxation and a stop when the target is popped: the
-    separator's search without its tie flag, so that the reference does
-    not call the code it checks."""
+    entries, strict relaxation, a push on every improvement and a stop
+    when the target is popped, written apart from the separator's search
+    so that the reference does not call the code it checks.  Returns the
+    path (None when the target is unreachable) and whether no improvement
+    set ``dist[v]`` to the distance ``v ^ 1`` held."""
     dist = [math.inf] * len(adj)
     prev = [-1] * len(adj)
     dist[source] = 0.0
     heap = [(0.0, source)]
+    clean = True
     while heap:
         d, u = heapq.heappop(heap)
         if u == target:
@@ -409,15 +412,16 @@ def _reference_shortest_path(adj, source, target):
             continue
         for v, w in adj[u]:
             if d + w < dist[v]:
+                clean = clean and d + w != dist[v ^ 1]
                 dist[v] = d + w
                 prev[v] = u
                 heapq.heappush(heap, (d + w, v))
     if dist[target] == math.inf:
-        return None
+        return None, clean
     path = [target]
     while path[-1] != source:
         path.append(prev[path[-1]])
-    return path[::-1]
+    return path[::-1], clean
 
 
 def _reference_separate_odd_cycles(g, point):
@@ -431,7 +435,7 @@ def _reference_separate_odd_cycles(g, point):
     for local in range(len(aux.nodes)):
         if not aux.adj[2 * local]:
             continue
-        path = _reference_shortest_path(aux.adj, 2 * local, 2 * local + 1)
+        path, _ = _reference_shortest_path(aux.adj, 2 * local, 2 * local + 1)
         if path is None:
             continue
         walk = [aux.nodes[a >> 1] for a in path]
@@ -483,6 +487,13 @@ def _record_searches(monkeypatch):
     return sources
 
 
+def _core_literals(aux):
+    """The literals the separator's searches number, in their order: those
+    with an auxiliary edge, as ``build_auxiliary`` lists them.  Search node
+    ``u`` is the copy ``u & 1`` of literal ``_core_literals(aux)[u >> 1]``."""
+    return [v for i, v in enumerate(aux.nodes) if aux.adj[2 * i]]
+
+
 def test_pruned_search_matches_reference_pipeline(monkeypatch):
     sources = _record_searches(monkeypatch)
     covered = Counter()
@@ -490,8 +501,11 @@ def test_pruned_search_matches_reference_pipeline(monkeypatch):
         ref, found = _reference_separate_odd_cycles(g, point)
         sources.clear()
         assert _cut_list(separate_odd_cycles(g, point)) == _cut_list(ref), case
-        searched = {s >> 1 for s in sources}
         aux = _reference_auxiliary(g, point)
+        # Each searched id, through its literal, as a local index of aux.
+        core = _core_literals(aux)
+        index = {v: i for i, v in enumerate(aux.nodes)}
+        searched = {index[core[s >> 1]] for s in sources}
         # dead end -> its one arc, by local index
         dead = {i: aux.adj[2 * i][0] for i in range(len(aux.nodes)) if len(aux.adj[2 * i]) == 1}
         for a, (first, w) in dead.items():
@@ -514,6 +528,62 @@ def test_pruned_search_matches_reference_pipeline(monkeypatch):
     floors = {"dead-end sources": 1000, "lone edges": 50, "cuts": 500,
               "cuts only from dead ends": 2, "mirrored dead ends skipped": 1500,
               "dead ends blocked by a tie": 1500}
+    assert all(covered[k] >= floor for k, floor in floors.items()), covered
+
+
+def test_each_search_matches_reference_on_full_cover(monkeypatch):
+    """Every search the separator runs, read as (literal, side) pairs, is
+    the reference search between the same two copies on the full double
+    cover less its arcs into dead ends, tie flag included: neither
+    numbering only the literals with an edge nor skipping pushes past the
+    target changes a path or a flag.  Pushes are counted through
+    ``heapq.heappush``, which both searches call, to show that the skips
+    happen."""
+    pushes = [0]
+    heappush = heapq.heappush
+
+    def counting_push(heap, item):
+        pushes[0] += 1
+        heappush(heap, item)
+
+    monkeypatch.setattr(heapq, "heappush", counting_push)
+    searches = []
+    search = sep_oddcycle._shortest_path
+
+    def recording(adj, source, target):
+        before = pushes[0]
+        path, clean = search(adj, source, target)
+        searches.append((source, target, path and list(path), clean, pushes[0] - before))
+        return path, clean
+
+    monkeypatch.setattr(sep_oddcycle, "_shortest_path", recording)
+    covered = Counter()
+    for case, g, point in _exactness_cases():
+        searches.clear()
+        separate_odd_cycles(g, point)
+        aux = _reference_auxiliary(g, point)
+        dead = [len(aux.adj[2 * i]) == 1 for i in range(len(aux.nodes))]
+        live = [[arc for arc in arcs if not dead[arc[0] >> 1]] for arcs in aux.adj]
+        core = _core_literals(aux)
+        index = {v: i for i, v in enumerate(aux.nodes)}
+        for source, target, path, clean, n_pushed in searches:
+            src, tgt = ((core[u >> 1], u & 1) for u in (source, target))
+            before = pushes[0]
+            ref, ref_clean = _reference_shortest_path(live, 2 * index[src[0]] + src[1],
+                                                      2 * index[tgt[0]] + tgt[1])
+            ref_pushed = pushes[0] - before
+            got = path and [(core[u >> 1], u & 1) for u in path]
+            want = ref and [(aux.nodes[u >> 1], u & 1) for u in ref]
+            assert (got, clean) == (want, ref_clean), (case, src, tgt)
+            assert n_pushed <= ref_pushed, (case, src, tgt)
+            covered["searches"] += 1
+            covered["unreachable"] += ref is None
+            covered["ties"] += not clean
+            covered["searches that skip a push"] += n_pushed < ref_pushed
+        covered["cases with a literal left out"] += len(core) < len(aux.nodes)
+    floors = {"searches": 10000, "unreachable": 3, "ties": 8000,
+              "searches that skip a push": 3000,
+              "cases with a literal left out": 400}
     assert all(covered[k] >= floor for k, floor in floors.items()), covered
 
 
