@@ -37,7 +37,8 @@ The records (``Variable``, ``Row``, ``MilpInstance``, ``KnapsackRow``,
 ``FractionalPoint`` and those of ``cgraph`` and ``presolve``) are plain
 classes over ``_Record``, which compares and prints them as
 ``dataclasses`` would, so importing the CLI loads neither ``dataclasses``
-nor ``typing``.
+nor ``typing``.  ``sep_clique.CliqueCut`` is one too, slotted, so the
+cuts of a separation round carry no instance dicts.
 
 ``unit_knapsacks`` reads a row whose terms are all binary with
 coefficient 1 or -1 into the literals and rhs of each knapsack direction,

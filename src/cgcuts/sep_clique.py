@@ -14,22 +14,29 @@ from dataclasses import dataclass, replace
 
 from .bk import WEIGHT_EPS, BkParams, WeightedSubgraph, find_cliques, weight_order
 from .cgraph import ConflictGraph, greedy_extend
-from .model import FractionalPoint, Row, literals_to_row
+from .model import FractionalPoint, Row, _Record, literals_to_row
 
 # A value v is fractional iff FRAC_EPS < v < 1 - FRAC_EPS.
 FRAC_EPS = 1e-6
 
+# The lift set of a literal with no non-fractional neighbor, and the
+# lifted members of a cut whose extension adds nothing: one object shared
+# by all of them.
+_NO_LITERALS: frozenset[int] = frozenset()
+
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class CliqueCut:
+class CliqueCut(_Record):
     """members: the full clique (lifted literals included); violation is the
-    cut's excess over its rhs at the separating point."""
+    cut's excess over its rhs at the separating point.  A slotted record,
+    compared and printed as ``dataclasses`` would, and unhashable."""
 
-    members: frozenset[int]
-    violation: float
-    lifted_members: frozenset[int]
+    __slots__ = _fields = ("members", "violation", "lifted_members")
+
+    def __init__(self, members: frozenset[int], violation: float,
+                 lifted_members: frozenset[int]):
+        self.members, self.violation, self.lifted_members = members, violation, lifted_members
 
 
 @dataclass
@@ -52,6 +59,12 @@ def fractional_subgraph(g: ConflictGraph, point: FractionalPoint,
     clique of that weight can hold it, and leaving it out keeps every
     maximal clique that reaches ``min_weight``.  Local indices follow
     ``bk.weight_order``.
+
+    ``neighbors`` is called once per fractional literal.  One pass over
+    its tuple sums the weight; a kept literal's tuple is then passed once
+    more to OR its bit row from a ``{literal: 1 << i}`` map, and, only
+    when the first pass met a non-fractional neighbor, to collect its lift
+    set.  Every other literal shares one empty lift set.
     """
     n = g.n_vars
     lit_values = point.literal_values(n)
@@ -62,34 +75,36 @@ def fractional_subgraph(g: ConflictGraph, point: FractionalPoint,
             value[j + n] = lit_values[j + n]
     # BK's own slack, plus as much again for sums taken in another order.
     bound = min_weight - 2 * WEIGHT_EPS
-    kept: list[tuple[int, list[int], list[int]]] = []
     get = value.get
+    nodes: list[int] = []
+    weights: list[float] = []
+    kept_nbrs: list[tuple[int, ...]] = []
+    lift: dict[int, frozenset[int]] = {}
     for a in weight_order(value):
-        frac: list[int] = []
-        other: list[int] = []
+        nbrs = g.neighbors(a)
         total = value[a]
-        for b in g.neighbors(a):
+        lifts = False
+        for b in nbrs:
             w = get(b)
             if w is None:
-                other.append(b)
+                lifts = True
             else:
-                frac.append(b)
                 total += w
         if total >= bound:
-            kept.append((a, frac, other))
-    index = {a: i for i, (a, _, _) in enumerate(kept)}
-    bits = [1 << i for i in range(len(kept))]
+            nodes.append(a)
+            weights.append(value[a])
+            kept_nbrs.append(nbrs)
+            lift[a] = frozenset([b for b in nbrs if b not in value]) if lifts else _NO_LITERALS
+    bit = {a: 1 << i for i, a in enumerate(nodes)}.get
     adj = []
-    for _, frac, _ in kept:
+    for nbrs in kept_nbrs:
         row = 0
-        for b in frac:
-            i = index.get(b)
-            if i is not None:
-                row |= bits[i]
+        for b in nbrs:
+            m = bit(b)
+            if m is not None:
+                row |= m
         adj.append(row)
-    nodes = [a for a, _, _ in kept]
-    return FractionalSubgraph(nodes, [value[a] for a in nodes], adj,
-                              {a: frozenset(other) for a, _, other in kept})
+    return FractionalSubgraph(nodes, weights, adj, lift)
 
 
 def candidate_order_key(point: FractionalPoint, n_vars: int):
@@ -133,6 +148,11 @@ def separate_cliques(g: ConflictGraph, point: FractionalPoint,
     exactly 1, so it reaches the threshold only when ``min_viol`` is at
     most BK's slack.  A negative or non-finite ``min_viol`` raises
     ``ValueError``.
+
+    A cut whose extension adds nothing (decided by size) shares one empty
+    ``lifted_members`` set.  When its members have no common lift
+    candidate, its ``members`` is the frozenset Bron-Kerbosch emitted, so
+    such a cut allocates only its record.
     """
     if not (math.isfinite(min_viol) and min_viol >= 0):
         raise ValueError(f"min_viol must be finite and >= 0, not {min_viol!r}")
@@ -158,7 +178,8 @@ def separate_cliques(g: ConflictGraph, point: FractionalPoint,
         ext = extend_cut(g, clique, point, common)
         if len(ext) == 2 and max(ext) - min(ext) == g.n_vars:
             continue
-        cuts.append(CliqueCut(ext, math.fsum(map(value, ext)) - 1.0, ext - clique))
+        lifted = ext - clique if len(ext) > len(clique) else _NO_LITERALS
+        cuts.append(CliqueCut(ext, math.fsum(map(value, ext)) - 1.0, lifted))
     cuts.sort(key=lambda c: (-c.violation, sorted(c.members)))
     return cuts
 

@@ -13,6 +13,7 @@ import pytest
 from cgcuts.cgraph import CliqueStore, ConflictGraph, RowCliques
 from cgcuts.model import FractionalPoint, KnapsackRow, MilpInstance, Row, Variable
 from cgcuts.presolve import StrengthenReport
+from cgcuts.sep_clique import CliqueCut
 
 
 def _instance(name=""):
@@ -71,6 +72,10 @@ RECORDS = [
      "variables=[Variable(name='x', lower=0.0, upper=1.0, is_integer=True, "
      "objective_coeff=0.0)], rows=[Row(name='r', coeffs=[(0, 1.0)], sense='<=', "
      "rhs=1.0)], name='', objective_name='OBJ'))"),
+    (CliqueCut,
+     dict(members=frozenset({0, 1, 2}), violation=0.5, lifted_members=frozenset()),
+     dict(members=frozenset({0, 1}), violation=0.25, lifted_members=frozenset({1})),
+     "CliqueCut(members=frozenset({0, 1, 2}), violation=0.5, lifted_members=frozenset())"),
 ]
 
 
@@ -100,6 +105,13 @@ def test_row_has_slots_and_no_instance_dict():
     assert not hasattr(row, "__dict__")
     with pytest.raises(AttributeError):
         row.extra = 1
+
+
+def test_clique_cut_has_slots_and_no_instance_dict():
+    cut = CliqueCut(frozenset({0, 1}), 0.5, frozenset())
+    assert not hasattr(cut, "__dict__")
+    with pytest.raises(AttributeError):
+        cut.extra = 1
 
 
 def test_instance_equality_leaves_out_its_indexes():

@@ -393,3 +393,88 @@ def test_cut_fractional_members_are_its_clique():
             assert c.members - c.lifted_members == c.members & frac
         lifted += sum(len(c.lifted_members) for c in cuts)
     assert lifted > 0
+
+
+def test_a_round_leaves_two_tracked_objects_per_cut():
+    # Pair rows only, so no stored block fills a member-set memo, and every
+    # variable fractional, so no cut lifts.  A cut then holds its record
+    # and its members, the clique Bron-Kerbosch emitted, and shares the one
+    # empty lifted set: two objects the cyclic collector tracks per cut.
+    rng = random.Random(71)
+    n = 60
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    g = build(MilpInstance(gen.binary_vars(n), gen.pair_rows(pairs)))
+    point = FractionalPoint({j: rng.uniform(0.2, 0.45) for j in range(n)})
+    params = BkParams(max_calls=10**9)
+    separate_cliques(g, point, 0.02, params)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        cuts = separate_cliques(g, point, 0.02, params)
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert not any(g.store.blocks) and not g._sets
+    assert len(cuts) >= 100 and not any(c.lifted_members for c in cuts)
+    assert grown <= 2 * len(cuts) + 10, (grown, len(cuts))
+
+
+def _reference_lifting_subgraph(inst, point, min_weight):
+    """(nodes, weights, adj, lift) of the filtered fractional subgraph, with
+    each literal's neighbors taken from pairwise probing of the rows plus
+    its complement.  A literal is kept when its value plus its fractional
+    neighbors' values, added in id order, reaches ``min_weight`` less twice
+    BK's slack; its lift set is its non-fractional neighbors."""
+    n = inst.n_vars
+    near = {a: {a + n if a < n else a - n} for a in range(2 * n)}
+    for a, b in map(tuple, probe_pairs(inst).edges):
+        near[a].add(b)
+        near[b].add(a)
+    value = {}
+    for j in range(n):
+        v = point.lit_value(j, n)
+        if 1e-6 < v < 1.0 - 1e-6:
+            value[j], value[j + n] = v, point.lit_value(j + n, n)
+    kept = []
+    for a in value:
+        total = value[a]
+        for b in sorted(near[a]):
+            if b in value:
+                total += value[b]
+        if total >= min_weight - 2e-9:
+            kept.append(a)
+    nodes = sorted(kept, key=lambda a: (-value[a], a))
+    local = {a: i for i, a in enumerate(nodes)}
+    adj = [sum(1 << local[b] for b in near[a] if b in local) for a in nodes]
+    lift = {a: frozenset(b for b in near[a] if b not in value) for a in nodes}
+    return nodes, [value[a] for a in nodes], adj, lift
+
+
+def test_fractional_subgraph_matches_probed_reference():
+    rng = random.Random(72)
+    covered = Counter()
+    for case in range(150):
+        kind = case % 3
+        if kind == 0:
+            inst = gen.random_setpacking_instance(rng, n_vars=rng.randint(4, 12))
+        elif kind == 1:
+            inst = gen.random_binary_instance(rng, n_vars=rng.randint(6, 16),
+                                              n_rows=rng.randint(2, 8))
+        else:
+            inst = gen.crossed_clique_instance(rng)[0]
+        n = inst.n_vars
+        point = FractionalPoint({j: rng.choice([0.0, 1.0, 0.5, rng.random(), rng.random()])
+                                 for j in range(n)})
+        for mcs in (0, 2, 512):
+            g = build(inst, min_clq_size=mcs)
+            for min_weight in (0.0, 1.02, 1.5):
+                sub = fractional_subgraph(g, point, min_weight)
+                nodes, weights, adj, lift = _reference_lifting_subgraph(inst, point, min_weight)
+                assert (sub.nodes, sub.weights, sub.adj, sub.lift) == (nodes, weights, adj, lift)
+                # Every literal that lifts nothing shares one empty set.
+                assert len({id(s) for s in sub.lift.values() if not s}) <= 1
+                covered["filtered"] += len(fractional_subgraph(g, point).nodes) - len(nodes)
+                covered["lifting"] += sum(bool(s) for s in lift.values())
+                covered["stored"] += sum(bool(g.store.blocks[a]) for a in nodes)
+    assert all(covered[k] >= 1000 for k in ("filtered", "lifting", "stored")), covered
