@@ -31,8 +31,8 @@ g = build(inst)
 # All cycle variables at one half: the cycle sums to 2.5 > 2.
 point = FractionalPoint({j: 0.5 for j in range(5)} | {5: 0.0, 6: 0.0, 7: 0.0})
 
-# The auxiliary graph doubles each literal; edge weight (1 - vi - vj)/2
-# makes cheap paths correspond to heavily violated cycles.
+# The auxiliary graph doubles each literal with a conflict; edge weight
+# (1 - vi - vj)/2 makes cheap paths correspond to heavily violated cycles.
 aux = build_auxiliary(g, point)
 print("auxiliary nodes:", len(aux.adj), " clamped weights:", aux.clamped_edges)
 

@@ -6,22 +6,22 @@ graph joining opposite-side copies of j and k, weighted
 the two copies of a literal projects to a closed odd walk; its simple odd
 cycles of length >= 5 whose induced edges cost less than 0.5 are violated
 cuts; the cost of a cycle's chords is read from the same clamped arc
-weights.  The search numbers only the literals with an auxiliary edge and
-keeps its distances and predecessors in flat lists over that core: a
-literal with no edge lies on no path, and its two copies cannot be
-joined.  The core keeps ``build_auxiliary``'s order, so every
-``(dist, node)`` heap comparison has the same outcome as over all active
-literals.  A relaxation pushes its heap entry only when it is no farther
-than the target, since a farther one would pop after the target.
+weights.  The cover numbers only the literals with an auxiliary edge, in
+id order, and the search keeps its distances and predecessors in flat
+lists over them: a literal with no edge lies on no path, and its two
+copies cannot be joined.  A relaxation pushes its heap entry only when it
+is no farther than the target, since a farther one would pop after the
+target.
 
-No search enters a dead end, a literal with exactly one auxiliary
-neighbor: a simple path between two other nodes never passes through it,
-and settling it never lowers another distance (weights are >= 0 and
-relaxation is strict), so every other search settles the same nodes in
-the same order with the same predecessors.  A dead end's own search
-leaves by its one arc and stops at the opposite copy of its neighbor,
-from which the forced last arc closes the path; a lone edge, two dead
-ends joined, holds no cycle and is not searched.
+No arc of the cover enters a dead end, a literal with exactly one
+auxiliary neighbor: a simple path between two other nodes never passes
+through it, and settling it never lowers another distance (weights are
+>= 0 and relaxation is strict), so every other search settles the same
+nodes in the same order with the same predecessors.  A dead end keeps its
+own arcs.  Its search leaves by its one arc and stops at the opposite copy
+of its neighbor, from which the forced last arc closes the path; a lone
+edge, two dead ends joined, leaves a dead end with no arc, holds no cycle
+and is not searched.
 
 A dead end's search is also skipped when it would mirror a search already
 run: its arc weighs exactly 0 and its neighbor b was searched earlier with
@@ -64,46 +64,56 @@ class OddCycleCut:
 
 @dataclass
 class AuxiliaryGraph:
-    """Bipartite double cover of the active literals.
+    """Bipartite double cover of the active literals that conflict with
+    another active literal.
 
     Auxiliary node ids are 2 * local + side for side in {0, 1}; edges only
-    join opposite sides.  ``clamped_edges`` counts weights cut off at 0.
+    join opposite sides.  ``dead[local]`` marks a dead end, a literal with
+    exactly one conflict: no arc enters it, but its own arcs stay.
+    ``clamped_edges`` counts weights cut off at 0, those of the arcs left
+    out included.
     """
 
     nodes: list[int]
     adj: list[list[tuple[int, float]]]
+    dead: list[bool]
     clamped_edges: int
 
 
 def build_auxiliary(g: ConflictGraph, point: FractionalPoint) -> AuxiliaryGraph:
     """Build the auxiliary graph over the literals with value above the
     fractionality floor, since zero-valued literals cannot sit on a cycle
-    worth cutting.  Complements join in: a literal and its complement
-    always conflict."""
+    worth cutting, less those with no conflict among them, which lie on no
+    path.  Complements join in: a literal and its complement always
+    conflict.  Nodes keep id order, and each arc list keeps the order in
+    which its edges are met: leaving out the arcs into dead ends drops
+    entries but moves none."""
     lit_values = point.literal_values(g.n_vars)
-    nodes = [v for v, x in enumerate(lit_values) if x > FRAC_EPS]
+    near = g.conflicts_among(v for v, x in enumerate(lit_values) if x > FRAC_EPS)
+    nodes = sorted(v for v, nbrs in near.items() if nbrs)
     index = {v: i for i, v in enumerate(nodes)}
-    value = [lit_values[v] for v in nodes]
-    near = g.conflicts_among(nodes)
+    dead = [len(near[v]) == 1 for v in nodes]
     adj: list[list[tuple[int, float]]] = [[] for _ in range(2 * len(nodes))]
     clamped = 0
     for ia, a in enumerate(nodes):
-        va = value[ia]
+        va = lit_values[a]
         for b in near[a]:
             if b <= a:
                 continue
             ib = index[b]
-            w = (1.0 - va - value[ib]) / 2.0
+            w = (1.0 - va - lit_values[b]) / 2.0
             if w < 0.0:
                 w = 0.0
                 clamped += 1
-            adj[2 * ia].append((2 * ib + 1, w))
-            adj[2 * ib + 1].append((2 * ia, w))
-            adj[2 * ia + 1].append((2 * ib, w))
-            adj[2 * ib].append((2 * ia + 1, w))
+            if not dead[ib]:
+                adj[2 * ia].append((2 * ib + 1, w))
+                adj[2 * ia + 1].append((2 * ib, w))
+            if not dead[ia]:
+                adj[2 * ib + 1].append((2 * ia, w))
+                adj[2 * ib].append((2 * ia + 1, w))
     if clamped:
         log.debug("clamped %d negative edge weights to zero", clamped)
-    return AuxiliaryGraph(nodes, adj, clamped)
+    return AuxiliaryGraph(nodes, adj, dead, clamped)
 
 
 def _shortest_path(adj: list[list[tuple[int, float]]], source: int,
@@ -204,46 +214,36 @@ def lift_center(g: ConflictGraph, cycle: Sequence[int],
 def separate_odd_cycles(g: ConflictGraph, point: FractionalPoint) -> list[OddCycleCut]:
     """Return violated odd-cycle (wheel) cuts, best first.
 
-    One shortest-path query per active literal with an auxiliary edge
-    (lone edges and mirrored dead ends excepted), on the double cover less
-    its arcs into dead ends; a recovered cycle is kept when it has odd
-    length >= 5 and the edges of its induced subgraph (chords included)
-    cost less than 0.5.  Those costs are the clamped weights of the
-    auxiliary arcs.  Cycles are deduplicated on their canonical
-    rotation/reflection.
+    One shortest-path query per literal of the cover (lone edges and
+    mirrored dead ends excepted), on the cover as ``build_auxiliary``
+    built it; a recovered cycle is kept when it has odd length >= 5 and
+    the edges of its induced subgraph (chords included) cost less than
+    0.5.  Those costs are the clamped weights of the auxiliary arcs.
+    Cycles are deduplicated on their canonical rotation/reflection.
     """
     value = point.literal_values(g.n_vars)
     aux = build_auxiliary(g, point)
-    # Number only the literals with an edge, in build_auxiliary's order.
-    core = [i for i, arcs in enumerate(aux.adj[::2]) if arcs]
-    lits = [aux.nodes[i] for i in core]
-    ids = [0] * len(aux.nodes)  # local index -> core id of its side-0 copy
-    for k, i in enumerate(core):
-        ids[i] = 2 * k
-    ends = [len(arcs) == 1 for arcs in aux.adj[::2]]  # dead ends, by local index
-    dead = [ends[i] for i in core]
-    live = [[(ids[v >> 1] | v & 1, w) for v, w in aux.adj[u] if not ends[v >> 1]]
-            for i in core for u in (2 * i, 2 * i + 1)]
+    adj, dead = aux.adj, aux.dead
     # Per literal, its side-0 arcs: edge weight keyed by the side-1 copy.
-    weight = [{ids[v >> 1] | 1: w for v, w in aux.adj[2 * i]} for i in core]
+    # No cycle holds a dead end, so the arcs left out are never looked up.
+    weight = [dict(arcs) for arcs in adj[::2]]
     kept: dict[tuple[int, ...], None] = {}
     # Per literal, whether its own search ran and was clean.
-    clean = [False] * len(lits)
-    for local in range(len(lits)):
-        if dead[local]:
+    clean = [False] * len(dead)
+    for local, end in enumerate(dead):
+        if end:
+            if not adj[2 * local]:
+                continue  # a lone edge holds no cycle
             # The path leaves by the one arc and must return by its twin,
             # from the other copy of the same neighbor.
-            [(first, w)] = aux.adj[2 * core[local]]
-            last = ids[first >> 1]
-            if dead[last >> 1]:
-                continue  # a lone edge holds no cycle
-            if w == 0.0 and clean[last >> 1]:
+            [(first, w)] = adj[2 * local]
+            if w == 0.0 and clean[first >> 1]:
                 continue  # the mirror image of the neighbor's search
-            path, _ = _shortest_path(live, 2 * local, last)
+            path, _ = _shortest_path(adj, 2 * local, first ^ 1)
             if path is not None:
                 path.append(2 * local + 1)
         else:
-            path, clean[local] = _shortest_path(live, 2 * local, 2 * local + 1)
+            path, clean[local] = _shortest_path(adj, 2 * local, 2 * local + 1)
         if path is None:
             continue
         assert (len(path) - 1) % 2 == 1, "bipartite path must have odd length"
@@ -256,7 +256,7 @@ def separate_odd_cycles(g: ConflictGraph, point: FractionalPoint) -> list[OddCyc
                 for b in cyc[i + 1:]:
                     cost += wa.get(2 * b + 1, 0.0)  # a non-edge adds nothing
             if cost < 0.5 - 1e-9:
-                kept.setdefault(_canonical_cycle([lits[a] for a in cyc]))
+                kept.setdefault(_canonical_cycle([aux.nodes[a] for a in cyc]))
     cuts = []
     for cycle in kept:
         center = lift_center(g, cycle, point)

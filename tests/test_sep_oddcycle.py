@@ -2,6 +2,7 @@ import heapq
 import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +18,6 @@ from cgcuts import (
 from cgcuts import sep_oddcycle
 from cgcuts.sep_clique import FRAC_EPS
 from cgcuts.sep_oddcycle import (
-    AuxiliaryGraph,
     OddCycleCut,
     _canonical_cycle,
     _shortest_path,
@@ -60,13 +60,24 @@ def test_auxiliary_five_cycle_structure():
     aux = build_auxiliary(g, point)
     assert aux.nodes == list(range(10))  # every literal and its complement
     assert len(aux.adj) == 20
-    # 5 cycle edges and 5 complement edges, each on both sides
+    # each complement conflicts only with its literal
+    assert aux.dead == [False] * 5 + [True] * 5
+    # 5 cycle edges on both sides; a complement edge keeps only the two
+    # arcs leaving its dead end
     n_edges = sum(len(nbrs) for nbrs in aux.adj) // 2
-    assert n_edges == 20
+    assert n_edges == 15
     # bipartite: every edge joins opposite sides
     for u, nbrs in enumerate(aux.adj):
         for v, _ in nbrs:
             assert (u % 2) != (v % 2)
+
+
+def test_auxiliary_leaves_out_literals_without_conflict():
+    inst = MilpInstance(gen.binary_vars(3), gen.pair_rows([(0, 1)]))
+    g = build(inst)
+    aux = build_auxiliary(g, FractionalPoint({0: 0.25, 1: 0.5}))
+    # !x3 is active at 1.0 but conflicts with no active literal
+    assert aux.nodes == [0, 1, 3, 4]
 
 
 def test_auxiliary_clamps_and_counts():
@@ -352,7 +363,9 @@ def test_exactness_fixtures_cover_ties_and_skips():
         aux = build_auxiliary(g, point)
         zero += sum(1 for nbrs in aux.adj for _, w in nbrs if w == 0.0)
         clamped += aux.clamped_edges
-        skipped += sum(1 for i in range(len(aux.nodes)) if not aux.adj[2 * i])
+        listed = set(aux.nodes)
+        skipped += sum(1 for v in range(2 * inst.n_vars)
+                       if point.lit_value(v, inst.n_vars) > FRAC_EPS and v not in listed)
         both += sum(1 for v in aux.nodes if v < inst.n_vars and v + inst.n_vars in aux.nodes)
     assert zero and clamped and skipped and both
 
@@ -367,8 +380,8 @@ def test_search_matches_recorded_cuts(seed):
 
 
 def _reference_auxiliary(g, point):
-    """The double cover as built from each active literal's
-    ``neighbors`` tuple."""
+    """The double cover of every active literal, arcs into dead ends
+    included, as built from each one's ``neighbors`` tuple."""
     n = g.n_vars
     nodes = [v for v in range(2 * n) if point.lit_value(v, n) > FRAC_EPS]
     index = {v: i for i, v in enumerate(nodes)}
@@ -389,7 +402,7 @@ def _reference_auxiliary(g, point):
             adj[2 * ib + 1].append((2 * ia, w))
             adj[2 * ia + 1].append((2 * ib, w))
             adj[2 * ib].append((2 * ia + 1, w))
-    return AuxiliaryGraph(nodes, adj, clamped)
+    return SimpleNamespace(nodes=nodes, adj=adj, clamped_edges=clamped)
 
 
 def _reference_shortest_path(adj, source, target):
@@ -489,7 +502,7 @@ def _record_searches(monkeypatch):
 
 def _core_literals(aux):
     """The literals the separator's searches number, in their order: those
-    with an auxiliary edge, as ``build_auxiliary`` lists them.  Search node
+    of the reference cover ``aux`` with an auxiliary edge.  Search node
     ``u`` is the copy ``u & 1`` of literal ``_core_literals(aux)[u >> 1]``."""
     return [v for i, v in enumerate(aux.nodes) if aux.adj[2 * i]]
 
@@ -591,18 +604,16 @@ def test_clean_search_is_mirrored_from_the_other_copy():
     covered = Counter()
     for case, g, point in _exactness_cases():
         aux = build_auxiliary(g, point)
-        dead = [len(aux.adj[2 * i]) == 1 for i in range(len(aux.nodes))]
-        live = [[arc for arc in arcs if not dead[arc[0] >> 1]] for arcs in aux.adj]
         for b in range(len(aux.nodes)):
-            if dead[b] or not aux.adj[2 * b]:
+            if aux.dead[b]:
                 continue
-            path, clean = _shortest_path(live, 2 * b, 2 * b + 1)
+            path, clean = _shortest_path(aux.adj, 2 * b, 2 * b + 1)
             if not clean:
                 covered["ties"] += 1
             elif path is None:
                 covered["unreachable"] += 1
             else:
-                mirror = _shortest_path(live, 2 * b + 1, 2 * b)
+                mirror = _shortest_path(aux.adj, 2 * b + 1, 2 * b)
                 assert mirror == ([v ^ 1 for v in path], True), case
                 covered["mirrored"] += 1
     assert covered["mirrored"] >= 2000 and covered["ties"] >= 3000, covered
@@ -640,5 +651,14 @@ def test_auxiliary_matches_neighbors_and_calls_none():
             if not g.store.blocks[a]:
                 assert g.neighbors(a) is g.adjlist[a]
         ref = _reference_auxiliary(g, point)
-        assert (aux.nodes, aux.adj, aux.clamped_edges) == (ref.nodes, ref.adj, ref.clamped_edges)
+        # The reference renumbered over the literals with an edge, less its
+        # arcs into dead ends.
+        core = _core_literals(ref)
+        index = {v: i for i, v in enumerate(ref.nodes)}
+        ids = {index[lit]: k for k, lit in enumerate(core)}
+        dead = [len(ref.adj[2 * index[lit]]) == 1 for lit in core]
+        adj = [[(2 * ids[v >> 1] | v & 1, w) for v, w in ref.adj[u] if not dead[ids[v >> 1]]]
+               for lit in core for u in (2 * index[lit], 2 * index[lit] + 1)]
+        assert (aux.nodes, aux.adj, aux.dead, aux.clamped_edges) == (
+            core, adj, dead, ref.clamped_edges)
     assert stored >= 20 and tuples >= 5
