@@ -22,7 +22,8 @@ stop as soon as the threshold is reached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .model import _Record
 
 # Slack applied to min_weight comparisons.
 WEIGHT_EPS = 1e-9
@@ -35,8 +36,7 @@ def weight_order(weights: dict[int, float]) -> list[int]:
     return sorted(sorted(weights), key=weights.__getitem__, reverse=True)
 
 
-@dataclass
-class WeightedSubgraph:
+class WeightedSubgraph(_Record):
     """A small vertex-weighted graph with bitmask adjacency.
 
     ``nodes`` are the external ids in ``weight_order``: local index 0 is
@@ -44,37 +44,34 @@ class WeightedSubgraph:
     be non-negative, for the weight bound.
     """
 
-    nodes: list[int]
-    weights: list[float]
-    adj: list[int]
+    _fields = ("nodes", "weights", "adj")
 
-    def __post_init__(self):
-        w = self.weights
-        if w != sorted(w, reverse=True) or (w and w[-1] < 0):
+    def __init__(self, nodes: list[int], weights: list[float], adj: list[int]):
+        if weights != sorted(weights, reverse=True) or (weights and weights[-1] < 0):
             raise ValueError("subgraph weights must be non-negative and must "
                              "not increase with the local index")
+        self.nodes, self.weights, self.adj = nodes, weights, adj
 
     def __len__(self) -> int:
         return len(self.nodes)
 
 
-@dataclass
-class BkParams:
-    min_weight: float = 1.0
-    max_calls: int = 100_000
+class BkParams(_Record):
+    _fields = ("min_weight", "max_calls")
 
-    def __post_init__(self):
-        if not math.isfinite(self.min_weight):
-            raise ValueError(f"min_weight must be finite, not {self.min_weight!r}")
-        if self.max_calls < 1:
+    def __init__(self, min_weight: float = 1.0, max_calls: int = 100_000):
+        if not math.isfinite(min_weight):
+            raise ValueError(f"min_weight must be finite, not {min_weight!r}")
+        if max_calls < 1:
             raise ValueError("max_calls must be at least 1")
+        self.min_weight, self.max_calls = min_weight, max_calls
 
 
-@dataclass
-class BkResult:
-    cliques: list[frozenset[int]]
-    exact: bool
-    calls: int
+class BkResult(_Record):
+    _fields = ("cliques", "exact", "calls")
+
+    def __init__(self, cliques: list[frozenset[int]], exact: bool, calls: int):
+        self.cliques, self.exact, self.calls = cliques, exact, calls
 
 
 def find_cliques(g: WeightedSubgraph, params: BkParams) -> BkResult:

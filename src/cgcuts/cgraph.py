@@ -1,10 +1,12 @@
 """Conflict graph construction and the hybrid clique/pairwise store.
 
-A row whose terms are all binary with coefficient 1 or -1 is read once,
-by ``unit_knapsacks``: each of its knapsack directions whose rhs any two
-literals overload is one clique of all its literals, with no tuples, so
-the row is neither normalized nor sorted by coefficient.  Cliques of any
-other row are extracted per knapsack row in O(n log n): after sorting by
+Every row is read through ``model``'s one knapsack direction rule.  A row
+whose terms are all binary with coefficient 1 or -1 is read by
+``unit_knapsacks``, the rule's directions with their literals sorted: each
+direction whose rhs any two literals overload is one clique of all its
+literals, with no tuples, so the row is neither weighted nor sorted by
+coefficient.  Cliques of any other row are extracted from
+``normalize_to_knapsack``'s rows in O(n log n): after sorting by
 coefficient, the largest suffix whose smallest two members overload the
 rhs forms the initial clique, and each literal below it is paired with
 the shortest suffix it still conflicts with.  ``bisect`` finds each

@@ -33,17 +33,22 @@ makes its rows without ``Row.__init__`` and its instance through
 ``_instance``, with no second check.  ``strengthen`` makes its result
 through ``_instance`` too, from rows and variables already checked.
 
-The records (``Variable``, ``Row``, ``MilpInstance``, ``KnapsackRow``,
-``FractionalPoint`` and those of ``cgraph`` and ``presolve``) are plain
-classes over ``_Record``, which compares and prints them as
-``dataclasses`` would, so importing the CLI loads neither ``dataclasses``
-nor ``typing``.  ``sep_clique.CliqueCut`` is one too, slotted, so the
-cuts of a separation round carry no instance dicts.
+Every record in the package is a plain class over ``_Record``, which
+compares and prints it field by field: this module's (``Variable``,
+``Row``, ``MilpInstance``, ``KnapsackRow``, ``FractionalPoint``) and those
+of ``cgraph``, ``presolve``, ``bk``, ``sep_clique``, ``sep_oddcycle`` and
+``oracle``.  So no module of the package imports a record library or
+``typing``.
+``sep_clique.CliqueCut`` is slotted, so the cuts of a separation round
+carry no instance dicts.
 
-``unit_knapsacks`` reads a row whose terms are all binary with
-coefficient 1 or -1 into the literals and rhs of each knapsack direction,
-as ``normalize_to_knapsack`` would write them, without a ``KnapsackRow``;
-``build`` and ``strengthen`` read such rows through it.
+The knapsack direction rule is written once, in ``_directions``: a >= row
+is negated, an equality gives both directions, and a negative term becomes
+its complemented literal while its magnitude joins the rhs.
+``normalize_to_knapsack`` adds the absolute coefficients that clique
+detection needs; ``unit_knapsacks`` passes only a row of binary terms with
+coefficient 1 or -1, and sorts each direction's literals for ``build``;
+``strengthen`` reads ``_directions`` itself.
 """
 
 from __future__ import annotations
@@ -82,9 +87,9 @@ def node_var(node: int, n_vars: int) -> int:
 
 class _Record:
     """Base of the record classes: ``==`` and ``repr`` over the fields named
-    in ``_fields``, in order, as ``dataclasses`` writes them.  A record
-    equals only a record of its own class, and is unhashable unless its
-    class defines ``__hash__``."""
+    in ``_fields``, in order, ``repr`` as ``Name(field=value, ...)``.  A
+    record equals only a record of its own class, and is unhashable unless
+    its class defines ``__hash__``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -222,73 +227,57 @@ class KnapsackRow(_Record):
         self.literals, self.rhs = literals, rhs
 
 
-def normalize_to_knapsack(row: Row, instance: MilpInstance) -> list[KnapsackRow]:
-    """Rewrite a row over binary variables into knapsack form.
+def _directions(row: Row, instance: MilpInstance) -> list[tuple[list[int], float]]:
+    """The knapsack directions of a row over binary variables, as
+    (literals in row order, rhs); ``[]`` when a term is not binary.
 
-    A >= row is negated first; an equality yields both directions.  Each
-    negative coefficient is replaced by the complemented literal with the
-    absolute coefficient, raising the rhs accordingly.  Rows touching any
-    non-binary variable yield no knapsack rows (skip signal, not an error).
-    """
-    binary = instance._binary
-    if not all(binary[j] for j, _ in row.coeffs):
-        return []
-    n = instance.n_vars
-    if row.sense == SENSE_LE:
-        directions = [(row.coeffs, row.rhs)]
-    elif row.sense == SENSE_GE:
-        directions = [([(j, -a) for j, a in row.coeffs], -row.rhs)]
-    else:
-        directions = [
-            (row.coeffs, row.rhs),
-            ([(j, -a) for j, a in row.coeffs], -row.rhs),
-        ]
-    out = []
-    for coeffs, rhs in directions:
-        lits: list[tuple[int, float]] = []
-        b = rhs
-        for j, a in coeffs:
-            if a > 0:
-                lits.append((j, a))
-            else:
-                lits.append((j + n, -a))
-                b += -a
-        out.append(KnapsackRow(lits, b))
-    return out
-
-
-def unit_knapsacks(row: Row, instance: MilpInstance) -> list[tuple[list[int], float]] | None:
-    """The knapsack directions of a row whose terms are all binary with
-    coefficient exactly 1.0 or -1.0, as (literals sorted by id, rhs) in
-    ``normalize_to_knapsack``'s order.  Each rhs takes the same float
-    operations, in the same order, as there.  Any other row gives None.
+    This is the one direction rule: a <= row gives its own direction, a >=
+    row its negation and an equality both, in that order.  A term that is
+    negative in its direction becomes the complemented literal, whose
+    magnitude |a_j| the rhs gains: the <= direction adds each negative
+    coefficient's magnitude and the >= direction each positive one, in row
+    order.  Both directions weigh each literal by the same |a_j|.
     """
     binary = instance._binary
     n = len(binary)
-    lits = []  # the <= direction's literals: x_j for +1, its complement for -1
+    lits = []  # the <= direction's: x_j for a_j > 0, its complement otherwise
+    up, down = row.rhs, -row.rhs
     for j, a in row.coeffs:
         if not binary[j]:
-            return None
-        if a == 1.0:
+            return []
+        if a > 0:
             lits.append(j)
-        elif a == -1.0:
-            lits.append(j + n)
+            down += a
         else:
+            lits.append(j + n)
+            up += -a
+    if row.sense == SENSE_LE:
+        return [(lits, up)]
+    flipped = [v - n if v >= n else v + n for v in lits]
+    return [(flipped, down)] if row.sense == SENSE_GE else [(lits, up), (flipped, down)]
+
+
+def normalize_to_knapsack(row: Row, instance: MilpInstance) -> list[KnapsackRow]:
+    """Rewrite a row over binary variables into knapsack form: each of
+    ``_directions``, with the absolute coefficients.  Rows touching any
+    non-binary variable yield no knapsack rows (skip signal, not an error).
+    """
+    mags = [abs(a) for _, a in row.coeffs]
+    return [KnapsackRow(list(zip(lits, mags)), b) for lits, b in _directions(row, instance)]
+
+
+def unit_knapsacks(row: Row, instance: MilpInstance) -> list[tuple[list[int], float]] | None:
+    """``_directions`` of a row whose terms are all binary with coefficient
+    exactly 1.0 or -1.0, each with its literals sorted by id.  Any other
+    row gives None.
+    """
+    for _, a in row.coeffs:
+        if a != 1.0 and a != -1.0:
             return None
-    out = []
-    if row.sense != SENSE_GE:
-        b = row.rhs
-        for v in lits:
-            if v >= n:
-                b += 1.0
-        out.append((sorted(lits), b))
-    if row.sense != SENSE_LE:
-        b = -row.rhs
-        for v in lits:
-            if v < n:
-                b += 1.0
-        out.append((sorted([v - n if v >= n else v + n for v in lits]), b))
-    return out
+    out = _directions(row, instance)
+    for lits, _ in out:
+        lits.sort()
+    return out or None
 
 
 class FractionalPoint(_Record):

@@ -7,14 +7,14 @@ and the benchmark's correctness gate compare built graphs against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .model import EPS, SENSE_GE, SENSE_LE, MilpInstance
+from .model import EPS, SENSE_GE, SENSE_LE, MilpInstance, _Record
 
 
-@dataclass
-class ProbeResult:
-    edges: set[frozenset[int]]
+class ProbeResult(_Record):
+    _fields = ("edges",)
+
+    def __init__(self, edges: set[frozenset[int]]):
+        self.edges = edges
 
 
 def probe_pairs(instance: MilpInstance) -> ProbeResult:

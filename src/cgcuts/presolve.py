@@ -1,12 +1,16 @@
 """Clique strengthening: grow set-packing rows to maximal cliques.
 
 Each set-packing row (at least two literals, unit coefficients and rhs 1
-in the knapsack form that ``normalize_to_knapsack`` writes, so
-complements qualify too; a +-1 row is read through ``unit_knapsacks``,
-which gives the same literals and rhs) is extended greedily over the
+in knapsack form, so complements qualify too) is extended greedily over the
 conflict graph; the extended row replaces it and every other collected
 set-packing row whose literal set the extension covers is dropped as
 dominated.  Everything else in the instance is left untouched.
+
+A row is read once, one way: every knapsack direction weighs a literal by
+its row coefficient's magnitude, so one test that each |a_j| is within
+``EPS`` of 1 passes or fails the row, and a row that passes is read
+through ``model._directions``, the direction rule that ``build`` reads
+too, for its literals and rhs.
 
 An extension may hold both literals of one variable x_j, since x_j
 always conflicts with its complement.  In the written row x_j and
@@ -27,11 +31,10 @@ from .model import (
     EPS,
     SENSE_EQ,
     MilpInstance,
+    _directions,
     _instance,
     _Record,
     literals_to_row,
-    normalize_to_knapsack,
-    unit_knapsacks,
 )
 
 
@@ -88,14 +91,15 @@ def strengthen(instance: MilpInstance, g: ConflictGraph,
         # of its directions only to have them dropped.
         if row.sense == SENSE_EQ or not 2 <= len(row.coeffs) <= alpha_max:
             continue
-        units = unit_knapsacks(row, instance)
-        if units is None:
-            units = [([lit for lit, _ in krow.literals], krow.rhs)
-                     for krow in normalize_to_knapsack(row, instance)
-                     if all(abs(a - 1.0) <= EPS for _, a in krow.literals)]
-        for lits, b in units:
-            if abs(b - 1.0) <= EPS:
-                eligible.append((ri, frozenset(lits)))
+        # Every direction weighs a literal by its |a_j|: one test reads the
+        # row, and an exact +-1, the common case, needs no tolerance.
+        for _, a in row.coeffs:
+            if a != 1.0 and a != -1.0 and abs(abs(a) - 1.0) > EPS:
+                break
+        else:
+            for lits, b in _directions(row, instance):
+                if abs(b - 1.0) <= EPS:
+                    eligible.append((ri, frozenset(lits)))
 
     alive = dict(eligible)
     # A row inside an extension has its smallest literal there, so each row

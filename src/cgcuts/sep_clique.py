@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
 
 from .bk import WEIGHT_EPS, BkParams, WeightedSubgraph, find_cliques, weight_order
 from .cgraph import ConflictGraph, greedy_extend
@@ -30,7 +29,7 @@ log = logging.getLogger(__name__)
 class CliqueCut(_Record):
     """members: the full clique (lifted literals included); violation is the
     cut's excess over its rhs at the separating point.  A slotted record,
-    compared and printed as ``dataclasses`` would, and unhashable."""
+    so a cut carries no instance dict."""
 
     __slots__ = _fields = ("members", "violation", "lifted_members")
 
@@ -39,13 +38,17 @@ class CliqueCut(_Record):
         self.members, self.violation, self.lifted_members = members, violation, lifted_members
 
 
-@dataclass
 class FractionalSubgraph(WeightedSubgraph):
     """The fractional subgraph plus, per literal, its non-fractional
     neighbors: the only literals that can extend a maximal clique of the
     subgraph over the full graph."""
 
-    lift: dict[int, frozenset[int]]
+    _fields = WeightedSubgraph._fields + ("lift",)
+
+    def __init__(self, nodes: list[int], weights: list[float], adj: list[int],
+                 lift: dict[int, frozenset[int]]):
+        super().__init__(nodes, weights, adj)
+        self.lift = lift
 
 
 def fractional_subgraph(g: ConflictGraph, point: FractionalPoint,
@@ -156,7 +159,7 @@ def separate_cliques(g: ConflictGraph, point: FractionalPoint,
     """
     if not (math.isfinite(min_viol) and min_viol >= 0):
         raise ValueError(f"min_viol must be finite and >= 0, not {min_viol!r}")
-    params = replace(bk_params or BkParams(), min_weight=1.0 + min_viol)
+    params = BkParams(1.0 + min_viol, (bk_params or BkParams()).max_calls)
     sub = fractional_subgraph(g, point, params.min_weight)
     if not sub.nodes:
         return []

@@ -40,30 +40,26 @@ import heapq
 import logging
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .cgraph import ConflictGraph, greedy_extend
-from .model import FractionalPoint, Row, literals_to_row
+from .model import FractionalPoint, Row, _Record, literals_to_row
 from .sep_clique import FRAC_EPS, candidate_order_key
 
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class OddCycleCut:
+class OddCycleCut(_Record):
     """An odd cycle (length >= 5) plus an optional wheel-center clique."""
 
-    cycle: tuple[int, ...]
-    center: frozenset[int]
-    violation: float
+    _fields = ("cycle", "center", "violation")
 
-    def __post_init__(self):
-        if len(self.cycle) < 5 or len(self.cycle) % 2 == 0:
+    def __init__(self, cycle: tuple[int, ...], center: frozenset[int], violation: float):
+        if len(cycle) < 5 or len(cycle) % 2 == 0:
             raise ValueError("cycle must have odd length >= 5")
+        self.cycle, self.center, self.violation = cycle, center, violation
 
 
-@dataclass
-class AuxiliaryGraph:
+class AuxiliaryGraph(_Record):
     """Bipartite double cover of the active literals that conflict with
     another active literal.
 
@@ -74,10 +70,11 @@ class AuxiliaryGraph:
     out included.
     """
 
-    nodes: list[int]
-    adj: list[list[tuple[int, float]]]
-    dead: list[bool]
-    clamped_edges: int
+    _fields = ("nodes", "adj", "dead", "clamped_edges")
+
+    def __init__(self, nodes: list[int], adj: list[list[tuple[int, float]]], dead: list[bool],
+                 clamped_edges: int):
+        self.nodes, self.adj, self.dead, self.clamped_edges = nodes, adj, dead, clamped_edges
 
 
 def build_auxiliary(g: ConflictGraph, point: FractionalPoint) -> AuxiliaryGraph:

@@ -479,6 +479,15 @@ def test_cli_import_skips_separators():
     assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
+def test_separators_import_no_dataclasses():
+    # Every record is a model._Record class, the separators' too.
+    names = ["dataclasses", "inspect", "typing"]
+    proc = _run_python("-S", "-c", "import sys, cgcuts.bk, cgcuts.sep_clique, "
+                             "cgcuts.sep_oddcycle, cgcuts.oracle; "
+                             f"print([m for m in {names!r} if m in sys.modules])")
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
 def test_package_namespace_loads_separators_on_demand():
     proc = _run_python("-c", """if True:
         import sys, cgcuts

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -15,7 +16,7 @@ from cgcuts import (
     read_point,
     write_mps,
 )
-from cgcuts.model import complement_node, literals_to_row
+from cgcuts.model import KnapsackRow, complement_node, literals_to_row, unit_knapsacks
 import gen
 
 MINIMAL_MPS = """\
@@ -209,6 +210,101 @@ def test_normalize_skips_non_binary():
     variables = [Variable("x", 0.0, 1.0, True), Variable("y", 0.0, 5.0, True)]
     inst = MilpInstance(variables, [Row("r", [(0, 1.0), (1, 1.0)], "<=", 3.0)])
     assert normalize_to_knapsack(inst.rows[0], inst) == []
+
+
+def _reference_normalize(row, instance):
+    """``normalize_to_knapsack`` as it was written before the direction
+    rule was shared with ``unit_knapsacks``."""
+    if not all(instance.is_binary(j) for j, _ in row.coeffs):
+        return []
+    n = instance.n_vars
+    if row.sense == "<=":
+        directions = [(row.coeffs, row.rhs)]
+    elif row.sense == ">=":
+        directions = [([(j, -a) for j, a in row.coeffs], -row.rhs)]
+    else:
+        directions = [(row.coeffs, row.rhs), ([(j, -a) for j, a in row.coeffs], -row.rhs)]
+    out = []
+    for coeffs, rhs in directions:
+        lits = []
+        b = rhs
+        for j, a in coeffs:
+            if a > 0:
+                lits.append((j, a))
+            else:
+                lits.append((j + n, -a))
+                b += -a
+        out.append(KnapsackRow(lits, b))
+    return out
+
+
+def _reference_unit_knapsacks(row, instance):
+    """``unit_knapsacks`` as it was written before the direction rule was
+    shared with ``normalize_to_knapsack``."""
+    n = instance.n_vars
+    lits = []
+    for j, a in row.coeffs:
+        if not instance.is_binary(j):
+            return None
+        if a == 1.0:
+            lits.append(j)
+        elif a == -1.0:
+            lits.append(j + n)
+        else:
+            return None
+    out = []
+    if row.sense != ">=":
+        b = row.rhs
+        for v in lits:
+            if v >= n:
+                b += 1.0
+        out.append((sorted(lits), b))
+    if row.sense != "<=":
+        b = -row.rhs
+        for v in lits:
+            if v < n:
+                b += 1.0
+        out.append((sorted([v - n if v >= n else v + n for v in lits]), b))
+    return out
+
+
+def test_knapsack_directions_match_the_reference_readers():
+    # At 1e16 one unit is half an ulp, so each addition to the rhs rounds:
+    # another order of additions gives another rhs.  -0.0 and 0.0 differ
+    # in repr, and the >= direction negates them.
+    rng = random.Random(33)
+    magnitudes = [1.0, 1.0 + 1e-9, 1.0 - 1e-9, 0.5, 2.0, 3.7]
+    n = 8
+    variables = gen.binary_vars(n - 1) + [Variable("y", 0.0, 4.0, True)]  # y is not binary
+    seen = Counter()
+    for i in range(3000):
+        unit = rng.random() < 0.4
+        cols = rng.sample(range(n - 1 if rng.random() < 0.8 else n), rng.randint(0, 6))
+        coeffs = [(j, rng.choice([1.0, -1.0]) * (1.0 if unit else rng.choice(magnitudes)))
+                  for j in cols]
+        rhs = rng.choice([-0.0, 0.0, 1.0, math.inf, -math.inf, 1e16])
+        sense = rng.choice(["<=", ">=", "="])
+        row = Row(f"r{i}", coeffs, sense, rhs)
+        inst = MilpInstance(variables, [row])
+        krows = _reference_normalize(row, inst)
+        got = normalize_to_knapsack(row, inst)
+        assert got == krows and [repr(k.rhs) for k in got] == [repr(k.rhs) for k in krows], row
+        units = _reference_unit_knapsacks(row, inst)
+        got = unit_knapsacks(row, inst)
+        assert got == units, row
+        if units is not None:
+            assert [repr(b) for _, b in got] == [repr(b) for _, b in units], row
+        seen[sense] += 1
+        seen[f"rhs {rhs!r}"] += 1
+        seen["unit"] += units is not None and len(coeffs) > 1
+        seen["non-binary"] += (n - 1) in cols
+        # The rhs differs from its start plus its additions summed first.
+        starts = {"<=": [rhs], ">=": [-rhs], "=": [rhs, -rhs]}[sense]
+        seen["rounded"] += any(k.rhs != b + math.fsum([a for v, a in k.literals if v >= n])
+                               for k, b in zip(krows, starts))
+    assert all(seen[k] >= 50 for k in
+               ("<=", ">=", "=", "rhs -0.0", "rhs 0.0", "rhs 1.0", "rhs inf", "rhs -inf",
+                "rhs 1e+16", "unit", "non-binary", "rounded")), seen
 
 
 BOUND_FORMS_MPS = """\

@@ -10,10 +10,13 @@ import math
 
 import pytest
 
+from cgcuts.bk import BkParams, BkResult, WeightedSubgraph
 from cgcuts.cgraph import CliqueStore, ConflictGraph, RowCliques
 from cgcuts.model import FractionalPoint, KnapsackRow, MilpInstance, Row, Variable
+from cgcuts.oracle import ProbeResult
 from cgcuts.presolve import StrengthenReport
-from cgcuts.sep_clique import CliqueCut
+from cgcuts.sep_clique import CliqueCut, FractionalSubgraph
+from cgcuts.sep_oddcycle import AuxiliaryGraph, OddCycleCut
 
 
 def _instance(name=""):
@@ -76,6 +79,37 @@ RECORDS = [
      dict(members=frozenset({0, 1, 2}), violation=0.5, lifted_members=frozenset()),
      dict(members=frozenset({0, 1}), violation=0.25, lifted_members=frozenset({1})),
      "CliqueCut(members=frozenset({0, 1, 2}), violation=0.5, lifted_members=frozenset())"),
+    (WeightedSubgraph,
+     dict(nodes=[3, 1], weights=[0.5, 0.25], adj=[2, 1]),
+     dict(nodes=[1, 3], weights=[0.5, 0.5], adj=[0, 0]),
+     "WeightedSubgraph(nodes=[3, 1], weights=[0.5, 0.25], adj=[2, 1])"),
+    (BkParams,
+     dict(min_weight=1.0, max_calls=10),
+     dict(min_weight=1.5, max_calls=5),
+     "BkParams(min_weight=1.0, max_calls=10)"),
+    (BkResult,
+     dict(cliques=[frozenset({0, 1})], exact=True, calls=3),
+     dict(cliques=[], exact=False, calls=4),
+     "BkResult(cliques=[frozenset({0, 1})], exact=True, calls=3)"),
+    (FractionalSubgraph,
+     dict(nodes=[3, 1], weights=[0.5, 0.25], adj=[2, 1], lift={3: frozenset({2}), 1: frozenset()}),
+     dict(nodes=[1, 3], weights=[0.5, 0.5], adj=[0, 0], lift={}),
+     "FractionalSubgraph(nodes=[3, 1], weights=[0.5, 0.25], adj=[2, 1], "
+     "lift={3: frozenset({2}), 1: frozenset()})"),
+    (OddCycleCut,
+     dict(cycle=(0, 1, 2, 3, 4), center=frozenset(), violation=0.5),
+     dict(cycle=(0, 1, 2, 3, 4, 5, 6), center=frozenset({7}), violation=0.25),
+     "OddCycleCut(cycle=(0, 1, 2, 3, 4), center=frozenset(), violation=0.5)"),
+    (AuxiliaryGraph,
+     dict(nodes=[0, 1], adj=[[(3, 0.0)], [(2, 0.0)], [], []], dead=[False, True],
+          clamped_edges=1),
+     dict(nodes=[0, 2], adj=[[], [], [], []], dead=[False, False], clamped_edges=0),
+     "AuxiliaryGraph(nodes=[0, 1], adj=[[(3, 0.0)], [(2, 0.0)], [], []], dead=[False, True], "
+     "clamped_edges=1)"),
+    (ProbeResult,
+     dict(edges={frozenset({0, 1})}),
+     dict(edges=set()),
+     "ProbeResult(edges={frozenset({0, 1})})"),
 ]
 
 

@@ -4,7 +4,6 @@ import math
 import random
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -18,7 +17,7 @@ from cgcuts import (
     separate_cliques,
 )
 from cgcuts import sep_clique
-from cgcuts.bk import find_cliques
+from cgcuts.bk import BkResult, find_cliques
 from cgcuts.oracle import probe_pairs
 from cgcuts.sep_clique import CliqueCut, extend_cut, fractional_subgraph
 
@@ -266,7 +265,7 @@ def _reference_separate_cliques(g, point, min_viol, bk_params):
     sub = _reference_fractional_subgraph(g, point)
     if not sub.nodes:
         return []
-    params = replace(bk_params, min_weight=1.0 + min_viol)
+    params = BkParams(1.0 + min_viol, bk_params.max_calls)
     n = g.n_vars
     cuts = {}
     for clique in find_cliques(sub, params).cliques:
@@ -337,7 +336,7 @@ def test_cuts_do_not_depend_on_clique_insertion_order(monkeypatch):
         res = find_cliques(sub, params)
         rebuilt = [frozenset(reversed(list(c))) for c in res.cliques]
         reordered.append(sum(list(a) != list(b) for a, b in zip(rebuilt, res.cliques)))
-        return replace(res, cliques=rebuilt)
+        return BkResult(rebuilt, res.exact, res.calls)
 
     def cut_list(cuts):
         return [(c.members, repr(c.violation), c.lifted_members) for c in cuts]
