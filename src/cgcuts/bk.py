@@ -8,9 +8,12 @@ The search enumerates maximal cliques whose weight reaches ``min_weight``,
 skipping any subtree where the weight of the current clique plus all
 remaining candidates cannot reach it.  It runs on an explicit stack of
 frames, not by recursion, so clique size is not bounded by the
-interpreter's recursion limit.  Every search node is counted and visited
-at one place, and a node's branch set is P minus the pivot's adjacency
-row, so no complement rows are kept.
+interpreter's recursion limit.  A search node with candidates is
+counted and visited at the top of the main loop; a leaf, a node without
+them (most nodes on sparse subgraphs), is counted and visited in place
+in its parent's branch loop, with no frame and no pass through the main
+loop.  A node's branch set is P minus the pivot's adjacency row, so no
+complement rows are kept.
 
 A subgraph numbers its vertices by weight, heaviest first (ties by
 external id), the vertex order of Östergård's weighted cliquer.  So the
@@ -77,11 +80,14 @@ class BkResult(_Record):
 def find_cliques(g: WeightedSubgraph, params: BkParams) -> BkResult:
     """Enumerate maximal cliques with weight >= params.min_weight.
 
-    ``calls`` counts search nodes: a node is one (R, P, X) state, visited
-    in depth-first order at the top of one loop.  A node with candidates
-    pushes a frame whose branches are P minus the neighbors of the pivot,
-    the heaviest vertex of P | X; a node without them emits R, the
-    branch vertices taken to reach it, as external ids when X is empty too.
+    ``calls`` counts search nodes: a node is one (R, P, X) state, counted
+    in depth-first order.  A node with candidates is visited at the top
+    of the main loop and pushes a frame whose branches are P minus the
+    neighbors of the pivot, the heaviest vertex of P | X.  A node without
+    them is visited where its parent's frame takes the branch v to it: it
+    emits R, the branch vertices taken to reach it, as external ids when
+    X has no neighbor of v either, and the frame moves on to its next
+    branch.
     The search stops when node ``params.max_calls + 1`` is reached, which
     is counted too, so the run was exact iff ``calls <= max_calls``.
     Cliques already emitted are always maximal and heavy enough, budget or
@@ -101,16 +107,13 @@ def find_cliques(g: WeightedSubgraph, params: BkParams) -> BkResult:
     max_calls = params.max_calls
     adj, weights, node = g.adj, g.weights, g.nodes.__getitem__
     out: list[frozenset[int]] = []
-    calls = 0
     # Frames are [R, P, X, weight of R, branch vertices not yet taken]; R
     # is the tuple of the branch vertices taken, P and X are masks.
     stack: list[list] = []
     r, p_mask, x_mask, r_weight = (), (1 << n) - 1, 0, 0.0
-    while True:
-        # Visit the node (R, P, X).
-        calls += 1
-        if calls > max_calls:
-            break
+    calls = 1  # the root
+    while calls <= max_calls:
+        # Visit the node (R, P, X): P is empty only at an empty root.
         if p_mask:
             p_weight = 0.0
             m = p_mask
@@ -126,28 +129,39 @@ def find_cliques(g: WeightedSubgraph, params: BkParams) -> BkResult:
                 m = p_mask | x_mask
                 u = (m & -m).bit_length() - 1
                 stack.append([r, p_mask, x_mask, r_weight, p_mask & ~adj[u]])
-        elif r_weight >= minw and not x_mask and r:
-            # No candidates and X empty: R is maximal.
-            out.append(frozenset(map(node, r)))
-        # The next node is the first untaken branch of the deepest frame.
-        # Its P and X are taken before the frame moves v from P to X.
+        # Take the branches of the deepest frame, lowest bit first.  A
+        # child without candidates is counted and visited here: R plus v is
+        # maximal when X has no neighbor of v.  The first child with
+        # candidates leaves this loop, and so does the node past the
+        # budget, which then ends the main loop.
         while stack:
             frame = stack[-1]
-            ext = frame[4]
-            if ext:
-                break
-            stack.pop()
+            r, p_mask, x_mask, r_weight, ext = frame
+            while ext:
+                low = ext & -ext
+                v = low.bit_length() - 1
+                a = adj[v]
+                calls += 1
+                if p_mask & a or calls > max_calls:
+                    break
+                if r_weight + weights[v] >= minw and not x_mask & a:
+                    out.append(frozenset(map(node, r + (v,))))
+                p_mask ^= low
+                x_mask |= low
+                ext ^= low
+            else:
+                stack.pop()
+                continue
+            break
         else:
             break  # the stack is empty: the search is done
-        low = ext & -ext
-        v = low.bit_length() - 1
-        r, p_mask, x_mask, r_weight, _ = frame
-        frame[1] = p_mask & ~low
+        # Descend to v; the frame moves v from P to X first.
+        frame[1] = p_mask ^ low
         frame[2] = x_mask | low
         frame[4] = ext ^ low
         r += (v,)
-        p_mask &= adj[v]
-        x_mask &= adj[v]
+        p_mask &= a
+        x_mask &= a
         r_weight += weights[v]
 
     return BkResult(out, calls <= max_calls, calls)

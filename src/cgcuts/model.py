@@ -371,6 +371,9 @@ def parse_mps(text: str) -> MilpInstance:
     # column name -> [index, integer, lower, upper, last BOUNDS line or 0]
     cols: dict[str, list] = {}
     integer_mode = False
+    # COLUMNS value token -> its float, parsed at its first occurrence.
+    # Keyed by the token, so "-0" and "0" stay apart.
+    values: dict[str, float] = {}
 
     def number(tok: str, lineno: int) -> float:
         try:
@@ -409,7 +412,10 @@ def parse_mps(text: str) -> MilpInstance:
             j = (cols.get(tokens[0])
                  or cols.setdefault(tokens[0], [len(cols), integer_mode, 0.0, math.inf, 0]))[0]
             for k in pairs:
-                value = number(tokens[k + 1], lineno)
+                tok = tokens[k + 1]
+                value = values.get(tok)
+                if value is None:
+                    value = values[tok] = number(tok, lineno)
                 row = rows.get(tokens[k])
                 if row is None:
                     raise ParseError(lineno, f"unknown row {tokens[k]!r}")

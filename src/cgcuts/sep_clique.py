@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+from operator import attrgetter
 
 from .bk import WEIGHT_EPS, BkParams, WeightedSubgraph, find_cliques, weight_order
 from .cgraph import ConflictGraph, greedy_extend
@@ -139,7 +140,8 @@ def separate_cliques(g: ConflictGraph, point: FractionalPoint,
     """Return clique cuts violated by at least ``min_viol``, best first.
 
     ``bk_params`` supplies the call budget; its min_weight is overridden
-    with 1 + min_viol.  Cuts are sorted by decreasing violation.
+    with 1 + min_viol.  Cuts are sorted by decreasing violation, and cuts
+    whose violations tie exactly by their sorted members.
     When Bron-Kerbosch stops on its budget, one warning on this module's
     logger gives the calls counted and the budget.
 
@@ -183,7 +185,19 @@ def separate_cliques(g: ConflictGraph, point: FractionalPoint,
             continue
         lifted = ext - clique if len(ext) > len(clique) else _NO_LITERALS
         cuts.append(CliqueCut(ext, math.fsum(map(value, ext)) - 1.0, lifted))
-    cuts.sort(key=lambda c: (-c.violation, sorted(c.members)))
+    # Decreasing violation, then sorted members on exact ties only: the
+    # order of the key (-violation, sorted(members)), with no key built for
+    # a cut that ties nothing.
+    violation = attrgetter("violation")
+    cuts.sort(key=violation, reverse=True)
+    vs = list(map(violation, cuts))
+    end = 0
+    for k in [k for k in range(1, len(vs)) if vs[k] == vs[k - 1]]:
+        if k >= end:  # cuts[k - 1] starts a run of ties
+            end = k + 1
+            while end < len(vs) and vs[end] == vs[k]:
+                end += 1
+            cuts[k - 1:end] = sorted(cuts[k - 1:end], key=lambda c: sorted(c.members))
     return cuts
 
 

@@ -25,11 +25,12 @@ def _reference_pivot(g, cand):
     return best
 
 
-def _reference_find_cliques(g, params, *, prune=True):
+def _reference_find_cliques(g, params, *, prune=True, leaves=None):
     """The recursive search with a scanned pivot and a full weight sum,
     kept as the reference for the explicit-stack version.  ``prune=False``
     turns the weight bound off, for the check that the bound never changes
-    the clique set."""
+    the clique set.  ``leaves``, when given, gets one flag per counted
+    node, in search order: whether its P is empty."""
     n = len(g)
     full = (1 << n) - 1
     minw = params.min_weight - WEIGHT_EPS
@@ -41,6 +42,8 @@ def _reference_find_cliques(g, params, *, prune=True):
     def rec(r_mask, p_mask, x_mask, r_weight):
         nonlocal calls, truncated
         calls += 1
+        if leaves is not None:
+            leaves.append(not p_mask)
         if calls > params.max_calls:
             truncated = True
             return
@@ -97,6 +100,35 @@ def test_matches_recursive_reference():
             truncated += not res.exact
             exact += res.exact and res.calls > 1
     assert truncated > 100 and exact > 100
+
+
+def test_matches_recursive_reference_sparse():
+    # Subgraphs shaped like a clique round's: sparse, light vertices and a
+    # threshold of 1.02, so most search nodes are leaves.  Budgets cut each
+    # search at fractions of its full length, so some stop on a leaf.
+    rng = random.Random(39)
+    leaves = leaf_stops = budgets = 0
+    for _ in range(30):
+        n = rng.randint(40, 120)
+        density = rng.uniform(0.05, 0.15)
+        ids = rng.sample(range(1000), n)
+        weights = {v: rng.uniform(0.2, 0.6) for v in ids}
+        edges = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]
+                 if rng.random() < density]
+        g = gen.weighted_subgraph(weights, edges)
+        is_leaf = []
+        full = _reference_find_cliques(g, BkParams(min_weight=1.02, max_calls=10**9),
+                                       leaves=is_leaf)
+        assert full.exact and full.cliques
+        _assert_same_as_reference(g, BkParams(min_weight=1.02, max_calls=full.calls))
+        leaves += sum(is_leaf)
+        for frac in (0.1, 0.3, 0.6, 0.9):
+            max_calls = max(1, int(full.calls * frac))
+            res = _assert_same_as_reference(g, BkParams(min_weight=1.02, max_calls=max_calls))
+            assert not res.exact and res.calls == max_calls + 1
+            budgets += 1
+            leaf_stops += is_leaf[max_calls]  # the node past the budget
+    assert leaves >= 5000 and leaf_stops >= 40, (leaves, leaf_stops, budgets)
 
 
 def test_matches_recursive_reference_deep():

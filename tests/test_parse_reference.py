@@ -209,3 +209,22 @@ def test_parse_matches_reference():
     # Both kinds of outcome are common, and the errors are many kinds of error.
     assert kinds["ok"] >= 500 and kinds["ParseError"] >= 500, kinds
     assert len(messages) >= 15, sorted(messages)
+
+
+def test_zero_tokens_keep_their_own_sign():
+    # Column values are parsed once per distinct token; "-0" and "0" are
+    # different tokens, so each column keeps the sign of its own zero.
+    text = "\n".join([
+        "NAME ZEROS", "ROWS", " N OBJ", " L r1", " G r2", "COLUMNS",
+        "    x1 OBJ -0 r1 0", "    x2 OBJ 0 r1 -0", "    x3 OBJ -0 r2 1",
+        "    x4 OBJ 0 r2 -0", "    x5 OBJ -0 r1 1", "    x6 OBJ 0.0 r1 -1",
+        "RHS", "    RHS r1 1 r2 -0", "BOUNDS",
+        *(f" BV BND x{j}" for j in range(1, 7)), "ENDATA", ""])
+    got, ref = parse_mps(text), _reference_parse_mps(text)
+    assert got == ref
+    assert write_mps(got) == write_mps(ref)
+    signs = [math.copysign(1.0, v.objective_coeff) for v in got.variables]
+    assert signs == [math.copysign(1.0, v.objective_coeff) for v in ref.variables]
+    assert signs == [-1.0, 1.0, -1.0, 1.0, -1.0, 1.0]
+    assert [(r.coeffs, math.copysign(1.0, r.rhs)) for r in got.rows] == [
+        ([(4, 1.0), (5, -1.0)], 1.0), ([(2, 1.0)], -1.0)]

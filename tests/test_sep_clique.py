@@ -323,8 +323,13 @@ def test_separation_matches_reference_pipeline():
                                 - len(fractional_subgraph(g, point, 1.0 + min_viol)))
         covered["tuples"] += bool(g.store.addtl)
         covered["reduced costs"] += point.reduced_costs is not None and bool(got)
+        # Cuts whose violation exactly ties another cut's: only these are
+        # ordered by their members.
+        tied = Counter(c.violation for c in got)
+        covered["ties"] += sum(k for k in tied.values() if k > 1)
     assert all(covered[k] >= 20 for k in
                ("cuts", "lifted", "filtered", "tuples", "reduced costs")), covered
+    assert covered["ties"] >= 500, covered
 
 
 def test_cuts_do_not_depend_on_clique_insertion_order(monkeypatch):
