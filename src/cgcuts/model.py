@@ -32,6 +32,9 @@ every name, index, sense and coefficient as it reads the lines, so it
 makes its rows without ``Row.__init__`` and its instance through
 ``_instance``, with no second check.  ``strengthen`` makes its result
 through ``_instance`` too, from rows and variables already checked.
+New names are numbered by one rule, ``_fresh_name``: the name itself, or
+else the name followed by the smallest free k >= 2.  ``parse_mps`` names
+a missing objective so, and ``strengthen`` each row it extends.
 
 Every record in the package is a plain class over ``_Record``, which
 compares and prints it field by field: this module's (``Variable``,
@@ -54,7 +57,7 @@ coefficient 1 or -1, and sorts each direction's literals for ``build``;
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Container, Iterable
 
 # Absolute tolerance for coefficient/rhs comparisons ("a + b > rhs" means
 # a + b > rhs + EPS).
@@ -203,6 +206,17 @@ class MilpInstance(_Record):
         j = node_var(node, self.n_vars)
         base = self.variables[j].name
         return "!" + base if node >= self.n_vars else base
+
+
+def _fresh_name(base: str, taken: Container[str]) -> str:
+    """``base``, or else ``base<k>`` for the smallest k >= 2 not in
+    ``taken``: the one numbering of new names, ``OBJ``, ``OBJ2``, ... for
+    a parsed model without an objective and ``<row>_clqext``,
+    ``<row>_clqext2``, ... for a row ``strengthen`` extends."""
+    name, k = base, 2
+    while name in taken:
+        name, k = f"{base}{k}", k + 1
+    return name
 
 
 def _instance(variables: list[Variable], rows: list[Row], name: str,
@@ -486,9 +500,7 @@ def parse_mps(text: str) -> MilpInstance:
 
     objective = rows[objective_name][1] if objective_name else {}
     if objective_name is None:
-        objective_name, k = "OBJ", 2
-        while objective_name in rows:
-            objective_name, k = f"OBJ{k}", k + 1
+        objective_name = _fresh_name("OBJ", rows)
     variables = [Variable(cname, lower, upper, integer, objective.get(j, 0.0))
                  for cname, (j, integer, lower, upper, _) in cols.items()]
     constraints = []

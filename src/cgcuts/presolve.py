@@ -12,6 +12,13 @@ its row coefficient's magnitude, so one test that each |a_j| is within
 through ``model._directions``, the direction rule that ``build`` reads
 too, for its literals and rhs.
 
+The collected rows live in one map, row index to literal set.  Beside
+it ``strengthen`` keeps only the rows still alive and the extensions: a
+row neither alive nor extended was removed, and an extended row gained
+the size of its extension less its own.  An extended row ``r`` is
+written as ``r_clqext``, or as the first free ``r_clqext<k>`` (k >= 2),
+by ``model._fresh_name``.
+
 An extension may hold both literals of one variable x_j, since x_j
 always conflicts with its complement.  In the written row x_j and
 (1 - x_j) cancel and the rhs drops by one: the row then forces every
@@ -32,6 +39,7 @@ from .model import (
     SENSE_EQ,
     MilpInstance,
     _directions,
+    _fresh_name,
     _instance,
     _Record,
     literals_to_row,
@@ -85,7 +93,12 @@ def strengthen(instance: MilpInstance, g: ConflictGraph,
     """
     if alpha_max < 0:
         raise ValueError(f"alpha_max must be >= 0, not {alpha_max!r}")
-    eligible: list[tuple[int, frozenset[int]]] = []
+    # Row index -> literal set of each collected row; an equality, skipped,
+    # is the only row with two directions, so each row gives at most one.
+    cliques: dict[int, frozenset[int]] = {}
+    # A row inside an extension has its smallest literal there, so each row
+    # is filed under that literal and only the extension's files are read.
+    filed: dict[int, list[int]] = {}
     for ri, row in enumerate(instance.rows):
         # An equality is skipped before it is read, which would give both
         # of its directions only to have them dropped.
@@ -99,47 +112,39 @@ def strengthen(instance: MilpInstance, g: ConflictGraph,
         else:
             for lits, b in _directions(row, instance):
                 if abs(b - 1.0) <= EPS:
-                    eligible.append((ri, frozenset(lits)))
+                    cliques[ri] = frozenset(lits)
+                    filed.setdefault(min(lits), []).append(ri)
 
-    alive = dict(eligible)
-    # A row inside an extension has its smallest literal there, so each row
-    # is filed under that literal and only the extension's files are read.
-    filed: dict[int, list[int]] = {}
-    for ri, clique in eligible:
-        filed.setdefault(min(clique), []).append(ri)
+    alive = dict(cliques)
     extended: dict[int, frozenset[int]] = {}
-    added: dict[int, int] = {}
-    removed: list[int] = []
-    for ri, clique in eligible:
+    for ri, clique in cliques.items():
         if ri not in alive:
             continue
         ext = extend_clique(g, clique)
         if ext == clique:
             continue
         extended[ri] = ext
-        added[ri] = len(ext) - len(clique)
         alive.pop(ri)
         for lit in ext:
             for rj in filed.get(lit, ()):
                 other = alive.get(rj)
                 if other is not None and other <= ext:
                     alive.pop(rj)
-                    removed.append(rj)
 
-    removed_set = set(removed)
+    # An extended row leaves ``alive`` and is never dropped after, so the
+    # rows dropped are those neither alive nor extended.
+    removed = cliques.keys() - alive.keys() - extended.keys()
+    # The model may already use a name.  Two new names never meet: each is
+    # its row's name, "_clqext" and then only digits, and row names are
+    # distinct.
     taken = {row.name for row in instance.rows} | {instance.objective_name}
     new_rows = []
     for ri, row in enumerate(instance.rows):
-        if ri in removed_set:
-            continue
         if ri in extended:
-            name, k = row.name + "_clqext", 2
-            while name in taken:  # the model may already use the name
-                name, k = f"{row.name}_clqext{k}", k + 1
-            taken.add(name)
+            name = _fresh_name(row.name + "_clqext", taken)
             terms = [(lit, 1.0) for lit in sorted(extended[ri])]
             new_rows.append(literals_to_row(terms, 1.0, instance.n_vars, name))
-        else:
+        elif ri not in removed:
             new_rows.append(row)
 
     # Every kept row and variable is the input's, and each new row has a
@@ -147,7 +152,7 @@ def strengthen(instance: MilpInstance, g: ConflictGraph,
     result = _instance(list(instance.variables), new_rows, instance.name,
                        instance.objective_name)
     return StrengthenReport(
-        extended=sorted(added.items()),
+        extended=[(ri, len(ext) - len(cliques[ri])) for ri, ext in sorted(extended.items())],
         removed_rows=sorted(removed),
         instance=result,
     )

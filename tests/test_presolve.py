@@ -243,6 +243,40 @@ def test_strengthen_names_around_existing_clqext_row(tmp_path):
     assert parse_mps(write_mps(out)).rows == out.rows
 
 
+def test_strengthen_names_the_first_free_numbered_row():
+    # r1, x1 + x2 <= 1, extends to {x1, x2, x3} in a model that already
+    # has rows named ``taken``, each a one-literal row that is not
+    # collected; r2 lands inside the extension.
+    for taken, expected in ((["r1_clqext", "r1_clqext2"], "r1_clqext3"),
+                            (["r1_clqext2"], "r1_clqext"),
+                            (["r1_clqext", "r1_clqext3"], "r1_clqext2")):
+        rows = [Row("r1", [(0, 1.0), (1, 1.0)], "<=", 1.0)]
+        rows += [Row(name, [(2, 1.0)], "<=", 1.0) for name in taken]
+        rows.append(Row("r2", [(0, 1.0), (1, 1.0), (2, 1.0)], "<=", 1.0))
+        inst = MilpInstance(gen.binary_vars(3), rows)
+        report = strengthen(inst, build(inst))
+        assert report.extended == [(0, 1)] and report.removed_rows == [len(rows) - 1]
+        assert [r.name for r in report.instance.rows] == [expected, *taken]
+
+
+def test_strengthen_names_rows_whose_first_choices_collide():
+    # Row r's first choice, r_clqext, is the next row's own name, and both
+    # rows extend: r to {x0, x1, x2} and r_clqext to {x3, x4, x5}.  The
+    # other four rows land inside the extensions.
+    inst = MilpInstance(gen.binary_vars(6), [
+        Row("r", [(0, 1.0), (1, 1.0)], "<=", 1.0),
+        Row("r_clqext", [(3, 1.0), (4, 1.0)], "<=", 1.0),
+        Row("r_clqext2", [(0, 1.0), (2, 1.0)], "<=", 1.0),
+        *gen.pair_rows([(1, 2), (3, 5), (4, 5)]),
+    ])
+    report = strengthen(inst, build(inst))
+    assert report.extended == [(0, 1), (1, 1)]
+    assert report.removed_rows == [2, 3, 4, 5]
+    names = [r.name for r in report.instance.rows]
+    assert names == ["r_clqext3", "r_clqext_clqext"]
+    assert parse_mps(write_mps(report.instance)).rows == report.instance.rows
+
+
 def _set_packing_clique(krow):
     """A knapsack row's literals when it reads as a set-packing row."""
     if len(krow.literals) < 2:
