@@ -294,6 +294,10 @@ def unit_knapsacks(row: Row, instance: MilpInstance) -> list[tuple[list[int], fl
     return out or None
 
 
+# A value v is fractional iff FRAC_EPS < v < 1 - FRAC_EPS.
+FRAC_EPS = 1e-6
+
+
 class FractionalPoint(_Record):
     """A (fractional) solution over binary variables, values in [0, 1].
 
@@ -333,6 +337,14 @@ class FractionalPoint(_Record):
         if rc is None:
             return 0.0
         return -rc if node >= n_vars else rc
+
+
+def candidate_order_key(point: FractionalPoint, n_vars: int):
+    """Lifting order: smallest reduced cost when costs are available,
+    otherwise largest value; ties by node id."""
+    if point.reduced_costs is not None:
+        return lambda v: (point.lit_reduced_cost(v, n_vars), v)
+    return lambda v: (-point.lit_value(v, n_vars), v)
 
 
 def literals_to_row(terms: Iterable[tuple[int, float]], rhs: float,

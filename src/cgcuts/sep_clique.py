@@ -14,10 +14,7 @@ from operator import attrgetter
 
 from .bk import WEIGHT_EPS, BkParams, WeightedSubgraph, find_cliques, weight_order
 from .cgraph import ConflictGraph, greedy_extend
-from .model import FractionalPoint, Row, _Record, literals_to_row
-
-# A value v is fractional iff FRAC_EPS < v < 1 - FRAC_EPS.
-FRAC_EPS = 1e-6
+from .model import FRAC_EPS, FractionalPoint, Row, _Record, candidate_order_key, literals_to_row
 
 # The lift set of a literal with no non-fractional neighbor, and the
 # lifted members of a cut whose extension adds nothing: one object shared
@@ -109,14 +106,6 @@ def fractional_subgraph(g: ConflictGraph, point: FractionalPoint,
                 row |= m
         adj.append(row)
     return FractionalSubgraph(nodes, weights, adj, lift)
-
-
-def candidate_order_key(point: FractionalPoint, n_vars: int):
-    """Lifting order: smallest reduced cost when costs are available,
-    otherwise largest value; ties by node id."""
-    if point.reduced_costs is not None:
-        return lambda v: (point.lit_reduced_cost(v, n_vars), v)
-    return lambda v: (-point.lit_value(v, n_vars), v)
 
 
 def extend_cut(g: ConflictGraph, clique, point: FractionalPoint,

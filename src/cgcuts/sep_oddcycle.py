@@ -18,20 +18,15 @@ auxiliary neighbor: a simple path between two other nodes never passes
 through it, and settling it never lowers another distance (weights are
 >= 0 and relaxation is strict), so every other search settles the same
 nodes in the same order with the same predecessors.  A dead end keeps its
-own arcs.  Its search leaves by its one arc and stops at the opposite copy
-of its neighbor, from which the forced last arc closes the path; a lone
-edge, two dead ends joined, leaves a dead end with no arc, holds no cycle
-and is not searched.
-
-A dead end's search is also skipped when it would mirror a search already
-run: its arc weighs exactly 0 and its neighbor b was searched earlier with
-no tie between the two copies of a literal (see ``_shortest_path``).  From
-``2b + 1`` on, that search is b's own search with the sides swapped, so it
-projects to the same closed walk and finds the same cycles.  The weight is
-0 for every dead end built here (its one neighbor is its complement, or
-the weight is clamped), but the argument needs it, so it is checked.  Each
-kept cycle is lifted by a clique of literals conflicting with the whole
-cycle, turning it into an odd wheel.
+own arcs but starts no search.  Its one arc, to a neighbor b, weighs
+exactly 0: b is its complement, and (1 - v) - (1 - v) = 0, or its
+complement is at most FRAC_EPS and b is above it, so the weight rounds to
+<= 0 and is clamped.  A search from the dead end would leave by that arc
+into ``2b + 1`` and then pop what the search from ``2b + 1`` to ``2b``
+pops, finding the same cycles.  That search mirrors b's own search from
+``2b`` unless b's search had a tie (see ``_shortest_path``), and only
+then is it run.  Each kept cycle is lifted by a clique of literals
+conflicting with the whole cycle, turning it into an odd wheel.
 """
 
 from __future__ import annotations
@@ -42,8 +37,7 @@ import math
 from collections.abc import Sequence
 
 from .cgraph import ConflictGraph, greedy_extend
-from .model import FractionalPoint, Row, _Record, literals_to_row
-from .sep_clique import FRAC_EPS, candidate_order_key
+from .model import FRAC_EPS, FractionalPoint, Row, _Record, candidate_order_key, literals_to_row
 
 log = logging.getLogger(__name__)
 
@@ -211,12 +205,13 @@ def lift_center(g: ConflictGraph, cycle: Sequence[int],
 def separate_odd_cycles(g: ConflictGraph, point: FractionalPoint) -> list[OddCycleCut]:
     """Return violated odd-cycle (wheel) cuts, best first.
 
-    One shortest-path query per literal of the cover (lone edges and
-    mirrored dead ends excepted), on the cover as ``build_auxiliary``
-    built it; a recovered cycle is kept when it has odd length >= 5 and
-    the edges of its induced subgraph (chords included) cost less than
-    0.5.  Those costs are the clamped weights of the auxiliary arcs.
-    Cycles are deduplicated on their canonical rotation/reflection.
+    One shortest-path query per literal of the cover that is not a dead
+    end, plus a reversed one for a dead end's neighbor whose query had a
+    tie, on the cover as ``build_auxiliary`` built it; a recovered cycle
+    is kept when it has odd length >= 5 and the edges of its induced
+    subgraph (chords included) cost less than 0.5.  Those costs are the
+    clamped weights of the auxiliary arcs.  Cycles are deduplicated on
+    their canonical rotation/reflection.
     """
     value = point.literal_values(g.n_vars)
     aux = build_auxiliary(g, point)
@@ -224,36 +219,30 @@ def separate_odd_cycles(g: ConflictGraph, point: FractionalPoint) -> list[OddCyc
     # Per literal, its side-0 arcs: edge weight keyed by the side-1 copy.
     # No cycle holds a dead end, so the arcs left out are never looked up.
     weight = [dict(arcs) for arcs in adj[::2]]
+    # The literals that are the one neighbor of a dead end.
+    end_nbrs = {adj[2 * i][0][0] >> 1 for i, end in enumerate(dead) if end and adj[2 * i]}
     kept: dict[tuple[int, ...], None] = {}
-    # Per literal, whether its own search ran and was clean.
-    clean = [False] * len(dead)
     for local, end in enumerate(dead):
         if end:
-            if not adj[2 * local]:
-                continue  # a lone edge holds no cycle
-            # The path leaves by the one arc and must return by its twin,
-            # from the other copy of the same neighbor.
-            [(first, w)] = adj[2 * local]
-            if w == 0.0 and clean[first >> 1]:
-                continue  # the mirror image of the neighbor's search
-            path, _ = _shortest_path(adj, 2 * local, first ^ 1)
-            if path is not None:
-                path.append(2 * local + 1)
-        else:
-            path, clean[local] = _shortest_path(adj, 2 * local, 2 * local + 1)
-        if path is None:
             continue
-        assert (len(path) - 1) % 2 == 1, "bipartite path must have odd length"
-        for cyc in _walk_cycles([a >> 1 for a in path]):
-            if len(cyc) < 5 or len(cyc) % 2 == 0:
+        path, clean = _shortest_path(adj, 2 * local, 2 * local + 1)
+        paths = [path]
+        if not clean and local in end_nbrs:
+            paths.append(_shortest_path(adj, 2 * local + 1, 2 * local)[0])  # its dead ends' walk
+        for path in paths:
+            if path is None:
                 continue
-            cost = 0.0
-            for i, a in enumerate(cyc):
-                wa = weight[a]
-                for b in cyc[i + 1:]:
-                    cost += wa.get(2 * b + 1, 0.0)  # a non-edge adds nothing
-            if cost < 0.5 - 1e-9:
-                kept.setdefault(_canonical_cycle([aux.nodes[a] for a in cyc]))
+            assert (len(path) - 1) % 2 == 1, "bipartite path must have odd length"
+            for cyc in _walk_cycles([a >> 1 for a in path]):
+                if len(cyc) < 5 or len(cyc) % 2 == 0:
+                    continue
+                cost = 0.0
+                for i, a in enumerate(cyc):
+                    wa = weight[a]
+                    for b in cyc[i + 1:]:
+                        cost += wa.get(2 * b + 1, 0.0)  # a non-edge adds nothing
+                if cost < 0.5 - 1e-9:
+                    kept.setdefault(_canonical_cycle([aux.nodes[a] for a in cyc]))
     cuts = []
     for cycle in kept:
         center = lift_center(g, cycle, point)

@@ -479,6 +479,15 @@ def test_cli_import_skips_separators():
     assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
+def test_oddcycle_import_skips_clique_separator():
+    # The odd-cycle separator reads the fractionality floor and the
+    # lifting order from model, so it loads no Bron-Kerbosch.
+    names = ["cgcuts.bk", "cgcuts.sep_clique"]
+    proc = _run_python("-S", "-c", f"import sys, cgcuts.sep_oddcycle; "
+                             f"print([m for m in {names!r} if m in sys.modules])")
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
 def test_separators_import_no_dataclasses():
     # Every record is a model._Record class, the separators' too.
     names = ["dataclasses", "inspect", "typing"]

@@ -370,6 +370,41 @@ def test_exactness_fixtures_cover_ties_and_skips():
     assert zero and clamped and skipped and both
 
 
+def test_dead_end_arcs_weigh_zero():
+    """A dead end's one arc weighs exactly 0.0, on both copies: its
+    neighbor is its complement, or its complement is at most FRAC_EPS and
+    the weight rounds to <= 0 and is clamped.  The separator relies on it
+    to search a dead end's walk from its neighbor's other copy.  Values
+    sit at FRAC_EPS and 1 - FRAC_EPS and one ulp to either side."""
+    rng = random.Random(66)
+    edge = [FRAC_EPS, 1.0 - FRAC_EPS]
+    edge += [math.nextafter(x, to) for x in edge for to in (0.0, 1.0)]
+    cases = [(*_exactness_fixture(seed), 4) for seed in range(40)]
+    for _ in range(2000):
+        inst = gen.random_binary_instance(rng, n_vars=rng.randint(3, 10))
+        values = {j: rng.choice(edge + [0.0, 0.5, 1.0, rng.random()]) for j in range(inst.n_vars)}
+        cases.append((inst, FractionalPoint(values), rng.choice([0, 4])))
+    covered = Counter()
+    for inst, point, mcs in cases:
+        n = inst.n_vars
+        aux = build_auxiliary(build(inst, min_clq_size=mcs), point)
+        for i, end in enumerate(aux.dead):
+            if not end or not aux.adj[2 * i]:
+                continue
+            [(v, w)] = aux.adj[2 * i]
+            assert w == 0.0 and aux.adj[2 * i + 1] == [(v ^ 1, 0.0)], (inst, point)
+            nbr, comp = aux.nodes[v >> 1], (aux.nodes[i] + n) % (2 * n)
+            if nbr == comp:
+                covered["complement"] += 1
+            else:
+                covered["clamped"] += 1
+                # The neighbor's value exceeds the complement's by under 1e-15.
+                covered["clamped at the edge"] += (
+                    point.lit_value(nbr, n) - point.lit_value(comp, n) < 1e-15)
+    floors = {"complement": 2500, "clamped": 1000, "clamped at the edge": 100}
+    assert all(covered[k] >= floor for k, floor in floors.items()), covered
+
+
 @pytest.mark.parametrize("seed", sorted(EXACT_CUTS))
 def test_search_matches_recorded_cuts(seed):
     inst, point = _exactness_fixture(seed)
@@ -508,39 +543,57 @@ def _core_literals(aux):
 
 
 def test_pruned_search_matches_reference_pipeline(monkeypatch):
-    sources = _record_searches(monkeypatch)
+    searches = []
+    search = sep_oddcycle._shortest_path
+
+    def recording(adj, source, target):
+        path, clean = search(adj, source, target)
+        searches.append((source, clean))
+        return path, clean
+
+    monkeypatch.setattr(sep_oddcycle, "_shortest_path", recording)
     covered = Counter()
     for case, g, point in _exactness_cases():
         ref, found = _reference_separate_odd_cycles(g, point)
-        sources.clear()
+        searches.clear()
         assert _cut_list(separate_odd_cycles(g, point)) == _cut_list(ref), case
         aux = _reference_auxiliary(g, point)
-        # Each searched id, through its literal, as a local index of aux.
+        # Each search's source, through its literal, as a local index of aux.
         core = _core_literals(aux)
         index = {v: i for i, v in enumerate(aux.nodes)}
-        searched = {index[core[s >> 1]] for s in sources}
-        # dead end -> its one arc, by local index
-        dead = {i: aux.adj[2 * i][0] for i in range(len(aux.nodes)) if len(aux.adj[2 * i]) == 1}
-        for a, (first, w) in dead.items():
-            b = first >> 1
+        sources = [(index[core[s >> 1]], s & 1, clean) for s, clean in searches]
+        # dead end -> its one neighbor, by local index
+        dead = {i: aux.adj[2 * i][0][0] >> 1
+                for i in range(len(aux.nodes)) if len(aux.adj[2 * i]) == 1}
+        ends = {b for b in dead.values() if b not in dead}  # their neighbors
+        tied = set()
+        for k, (b, side, clean) in enumerate(sources):
+            assert b not in dead, case
+            if side:
+                # From 2b + 1 only right after a tied search from 2b, and
+                # only for a dead end's neighbor.
+                assert k and sources[k - 1] == (b, 0, False) and b in ends, case
+                covered["reverse searches"] += 1
+            elif not clean:
+                tied.add(b)
+        # The walk of every dead end whose neighbor's search tied is searched.
+        assert {b for b, side, _ in sources if side} == tied & ends, case
+        for b in dead.values():
             if b in dead:
                 covered["lone edges"] += 1
                 continue
-            covered["dead-end sources"] += 1
-            mirrored = w == 0.0 and b < a
-            # Only a zero-weight arc to a neighbor searched earlier may skip.
-            assert a in searched or mirrored, case
-            if mirrored:
-                covered["dead ends blocked by a tie" if a in searched
-                        else "mirrored dead ends skipped"] += 1
+            covered["dead ends"] += 1
+            covered["dead ends of a tied search" if b in tied
+                    else "dead ends of a clean search"] += 1
         covered["cuts"] += len(ref)
         dead_lits = {aux.nodes[i] for i in dead}
         covered["cuts only from dead ends"] += sum(
             1 for lits in found.values() if all(v in dead_lits for v in lits))
-    # Seeds 278 and 352 hold a cycle that only dead-end sources find.
-    floors = {"dead-end sources": 1000, "lone edges": 50, "cuts": 500,
-              "cuts only from dead ends": 2, "mirrored dead ends skipped": 1500,
-              "dead ends blocked by a tie": 1500}
+    # Seeds 278 and 352 hold a cycle that the reference finds only from
+    # dead ends, and the separator only by a reverse search.
+    floors = {"dead ends": 1000, "lone edges": 50, "cuts": 500,
+              "cuts only from dead ends": 2, "dead ends of a clean search": 1500,
+              "dead ends of a tied search": 1500, "reverse searches": 3000}
     assert all(covered[k] >= floor for k, floor in floors.items()), covered
 
 
