@@ -10,16 +10,18 @@ coefficient.  Cliques of any other row are extracted from
 coefficient, the largest suffix whose smallest two members overload the
 rhs forms the initial clique, and each literal below it is paired with
 the shortest suffix it still conflicts with.  ``bisect`` finds each
-boundary, keyed by the pair-sum test.  Those extra cliques are kept as
-(literal, row, start) tuples rather than being expanded, which is what
-keeps the loop out of quadratic territory.  Both paths give the same
-cliques for a +-1 row.
+boundary, keyed by the pair-sum test.  Detection returns the pair
+(initial, additional): the additional cliques are (literal, start)
+tuples rather than expanded sets, which is what keeps detection out of
+quadratic territory.  Both paths give the same cliques for a +-1 row.
 
 ``build`` stores or dissolves each clique as soon as it is detected: a
 clique of more than ``min_clq_size`` members stays in the tuple store, a
 smaller one is filed under each of its members (a dissolved tuple files
 its suffix under its outside literal).  Every tuple, stored or dissolved,
-files its outside literal under each suffix member.  Once the rows are
+files its outside literal under each suffix member, so detection is
+O(n log n) but ``build`` is not: a stored tuple keeps only its outside
+literal's side of its conflicts compressed.  Once the rows are
 read, each literal's filed cliques are expanded, once, into its sorted
 pairwise adjacency tuple, with its complement, so only one literal's
 expansion is held beside the graph.  Each literal also keeps one list of
@@ -63,28 +65,21 @@ from .model import (
 )
 
 
-class RowCliques(_Record):
-    """Cliques of one knapsack row in compressed form.
+def detect_cliques_compressed(row: KnapsackRow) -> tuple[list[int], list[tuple[int, int]]]:
+    """Cliques of one knapsack row in compressed form, as the pair
+    ``(initial, addtl)``; both lists are empty when the row has none.
 
-    ``initial`` is the first clique in non-decreasing coefficient order.
-    Each additional clique is (literal, l) with l the 1-based position in
-    ``initial`` where its shared suffix starts.
+    ``initial`` is the initial clique, in non-decreasing coefficient
+    order.  Each additional clique is (literal, l) with l the 1-based
+    position in ``initial`` where its shared suffix starts.
     """
-
-    _fields = ("initial", "addtl")
-
-    def __init__(self, initial: list[int], addtl: list[tuple[int, int]]):
-        self.initial, self.addtl = initial, addtl
-
-
-def detect_cliques_compressed(row: KnapsackRow) -> RowCliques:
     items = sorted(row.literals, key=itemgetter(1, 0))  # (coefficient, literal)
     lits = [t[0] for t in items]
     a = [t[1] for t in items]
     bound = row.rhs + EPS
     m = len(a)
     if m < 2 or not a[m - 2] + a[m - 1] > bound:
-        return RowCliques([], [])
+        return [], []
 
     # Smallest k with a[k] + a[k+1] > rhs; the predicate is monotone, and
     # False sorts before True.
@@ -101,17 +96,17 @@ def detect_cliques_compressed(row: KnapsackRow) -> RowCliques:
                                key=lambda j: a[o] + a[j] > bound)
         assert f > k  # the suffix is always inside the initial clique
         addtl.append((lits[o], f - k + 1))
-    return RowCliques(initial, addtl)
+    return initial, addtl
 
 
 def detect_cliques(row: KnapsackRow) -> list[frozenset[int]]:
     """Expanded clique sets of one knapsack row (empty list if none)."""
-    rc = detect_cliques_compressed(row)
-    if not rc.initial:
+    initial, addtl = detect_cliques_compressed(row)
+    if not initial:
         return []
-    out = [frozenset(rc.initial)]
-    for lit, l in rc.addtl:
-        out.append(frozenset([lit, *rc.initial[l - 1:]]))
+    out = [frozenset(initial)]
+    for lit, l in addtl:
+        out.append(frozenset([lit, *initial[l - 1:]]))
     return out
 
 
@@ -190,16 +185,13 @@ class ConflictGraph(_Record):
         """All literals conflicting with a, sorted; always includes the
         complement.  A literal in no stored block gets its adjacency tuple
         itself; any other gets a new tuple that adds its blocks' members."""
-        return tuple(sorted(self._near(a))) if self.store.blocks[a] else self.adjlist[a]
-
-    def _near(self, a: int) -> set[int]:
-        """The literals conflicting with a, as a new set."""
+        blocks = self.store.blocks[a]
+        if not blocks:
+            return self.adjlist[a]
         first = self.store.first
-        near = set(self.adjlist[a])
-        for c, s in self.store.blocks[a]:
-            near.update(first[c][s:])
+        near = set().union(self.adjlist[a], *(first[c][s:] for c, s in blocks))
         near.discard(a)
-        return near
+        return tuple(sorted(near))
 
     def _members(self, c: int, s: int) -> frozenset[int]:
         """The members ``first[c][s:]`` of a stored block; built once per
@@ -358,8 +350,7 @@ def build(instance: MilpInstance, min_clq_size: int = 512) -> ConflictGraph:
     for row in instance.rows:
         units = unit_knapsacks(row, instance)
         if units is None:
-            found = [(rc.initial, rc.addtl) for rc in map(detect_cliques_compressed,
-                                                           normalize_to_knapsack(row, instance))]
+            found = map(detect_cliques_compressed, normalize_to_knapsack(row, instance))
         else:
             # All coefficients are 1: every literal of a direction is in its
             # one clique when two of them overload the rhs, as detection finds.

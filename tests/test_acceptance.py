@@ -258,8 +258,8 @@ def test_criterion_8_detection_scales_quasilinearly():
         # additional-clique loop runs ~n/2 times, all via binary search
         row = KnapsackRow([(i, _CountingCoeff(i + 1)) for i in range(n)], float(n))
         _CountingCoeff.adds = 0
-        rc = detect_cliques_compressed(row)
-        assert rc.initial and rc.addtl
+        initial, addtl = detect_cliques_compressed(row)
+        assert initial and addtl
         counts.append(_CountingCoeff.adds)
     ratios = [b / a for a, b in zip(counts, counts[1:])]
     # n log n doubles to ~2.2x; a quadratic step would sit at 4x

@@ -13,7 +13,7 @@ from cgcuts import (
     normalize_to_knapsack,
 )
 from cgcuts.bk import find_cliques
-from cgcuts.cgraph import RowCliques, detect_cliques_compressed, greedy_extend
+from cgcuts.cgraph import detect_cliques_compressed, greedy_extend
 from cgcuts.model import EPS, KnapsackRow, Variable, unit_knapsacks
 from cgcuts.oracle import probe_pairs
 from cgcuts.sep_clique import candidate_order_key, fractional_subgraph
@@ -62,7 +62,7 @@ def _reference_detect(row):
     b = row.rhs
     ks = [i for i in range(len(a) - 1) if a[i] + a[i + 1] > b + EPS]
     if not ks:
-        return RowCliques([], [])
+        return [], []
     k = ks[0]
     addtl = []
     for o in range(k - 1, -1, -1):
@@ -70,7 +70,7 @@ def _reference_detect(row):
         if not fs:
             break
         addtl.append((lits[o], fs[0] - k + 1))
-    return RowCliques(lits[k:], addtl)
+    return lits[k:], addtl
 
 
 def test_detect_per_row_completeness_random():
@@ -96,10 +96,10 @@ def test_detect_matches_reference_on_ties_and_eps_boundaries():
         # A pair sum within a few EPS of the rhs, either side of b + EPS.
         rhs = coeffs[i] + coeffs[j] + rng.choice((-2, -1, -0.5, 0, 0.5, 1, 2)) * EPS
         row = KnapsackRow(list(zip(ids, coeffs)), rhs)
-        ref = _reference_detect(row)
+        initial, addtl = ref = _reference_detect(row)
         assert detect_cliques_compressed(row) == ref
-        covered["cliques"] += bool(ref.initial)
-        covered["tuples"] += bool(ref.addtl)
+        covered["cliques"] += bool(initial)
+        covered["tuples"] += bool(addtl)
         covered["ties"] += len(set(coeffs)) < m
     assert min(covered.values()) >= 30, covered
 
@@ -202,7 +202,7 @@ def _assert_sorted_list_invariant(g, a):
     adj = g.adjlist[a]
     assert type(adj) is tuple and adj == tuple(sorted(adj))
     assert a not in adj and g.complement(a) in adj
-    assert g.neighbors(a) == tuple(sorted(g._near(a)))
+    assert g.neighbors(a) == tuple(b for b in range(g.n_nodes) if g.conflicting(a, b))
     if not g.store.blocks[a]:
         assert g.neighbors(a) is adj
 
@@ -258,7 +258,7 @@ def test_degree_counts_literals_in_overlapping_stored_blocks():
         for mcs in (1, 2, 4):
             g = build(inst, min_clq_size=mcs)
             for a, held in enumerate(g.store.blocks):
-                assert g.degree(a) == len(g._near(a)), (a, mcs)
+                assert g.degree(a) == len(g.neighbors(a)), (a, mcs)
                 shapes["blocks", min(len(held), 3)] += 1
                 shapes["suffix among several"] += len(held) > 1 and any(s for _, s in held)
             assert len(g._sizes) == len({tuple(held) for held in g.store.blocks if held})
@@ -297,11 +297,11 @@ def test_tuple_expansion_edges_are_row_edges():
     for _ in range(50):
         inst = gen.random_binary_instance(rng, n_vars=rng.randint(2, 12), n_rows=1)
         for k in gen.all_knapsack_rows(inst):
-            rc = detect_cliques_compressed(k)
+            initial, addtl = detect_cliques_compressed(k)
             direct = gen.knapsack_row_pairwise_edges(k)
-            for lit, l in rc.addtl:
-                assert 1 <= l <= len(rc.initial)
-                members = [lit, *rc.initial[l - 1:]]
+            for lit, l in addtl:
+                assert 1 <= l <= len(initial)
+                members = [lit, *initial[l - 1:]]
                 assert gen.cliques_edge_set([members]) <= direct
 
 
@@ -373,19 +373,19 @@ def _reference_build(inst, min_clq_size):
     pair_sets = [set() for _ in range(n_nodes)]
     detected = 0
     for krow in gen.all_knapsack_rows(inst):
-        rc = detect_cliques_compressed(krow)
-        if not rc.initial:
+        initial, row_addtl = detect_cliques_compressed(krow)
+        if not initial:
             continue
-        detected += 1 + len(rc.addtl)
+        detected += 1 + len(row_addtl)
         c = len(first)
-        stored = len(rc.initial) > min_clq_size
-        first.append(rc.initial)
+        stored = len(initial) > min_clq_size
+        first.append(initial)
         first_stored.append(stored)
         if not stored:
-            for v in rc.initial:
-                pair_sets[v].update(rc.initial)
-        for lit, l in rc.addtl:
-            suffix = rc.initial[l - 1:]
+            for v in initial:
+                pair_sets[v].update(initial)
+        for lit, l in row_addtl:
+            suffix = initial[l - 1:]
             if len(suffix) + 1 > min_clq_size:
                 addtl.append((lit, c, l))
             else:
@@ -461,15 +461,15 @@ def test_unit_knapsacks_give_the_cliques_detection_finds():
         assert units == [(sorted(lit for lit, _ in k.literals), k.rhs) for k in krows], row
         # All coefficients are 1: detection puts a direction's literals in
         # one clique, with no tuples, when two of them overload its rhs.
-        cliques = [RowCliques(lits if len(lits) > 1 and 2.0 > b + EPS else [], [])
+        cliques = [(lits if len(lits) > 1 and 2.0 > b + EPS else [], [])
                    for lits, b in units]
         assert cliques == [detect_cliques_compressed(k) for k in krows], row
         seen[row.sense] += 1
         seen["complemented"] += any(lit >= n for lits, _ in units for lit in lits)
         seen["one term"] += len(row.coeffs) == 1
-        seen["clique"] += any(c.initial for c in cliques)
+        seen["clique"] += any(initial for initial, _ in cliques)
         seen["no clique, two or more terms"] += (len(row.coeffs) > 1
-                                                 and not any(c.initial for c in cliques))
+                                                 and not any(initial for initial, _ in cliques))
         seen["out of column order"] += row.coeffs != sorted(row.coeffs)
     for rhs in (-1.0, 0.0, 0.3, 1.0, 1.5, 2.0 - EPS, 2.0 - EPS / 2, 2.0):
         seen[f"rhs {rhs}"] = sum(r.rhs == rhs and unit_knapsacks(r, inst) is not None

@@ -3,7 +3,8 @@ the work it does is counted, not timed.
 
 Work is counted the way the other tests count it: ``neighbors`` calls
 through ``gen.count_neighbors_calls`` and the entries those calls return,
-the candidates ``_conflicting_in`` tests, and ``heapq.heappush`` calls.
+the candidates ``_conflicting_in`` tests, ``heapq.heappush`` calls, and
+the entries ``degree`` stores in the graph's memos.
 No count may grow more than ``GROWTH`` times from one size to the next:
 an O(k log k) op stays under it, and a quadratic one reads 4.
 """
@@ -106,4 +107,35 @@ def test_odd_cycle_separation_grows_linearly_over_disjoint_cycles(monkeypatch):
         assert len(cuts) == k
         assert all(abs(c.violation - 0.25) < 1e-9 for c in cuts)
         rungs.append({"heap pushes": pushes[0], "neighbors calls": calls[0]})
+    _assert_ladder(rungs)
+
+
+class _CountingMemo(dict):
+    """A memo that adds up ``measure`` of every value stored in it."""
+
+    def __init__(self, measure):
+        super().__init__()
+        self.measure, self.built = measure, 0
+
+    def __setitem__(self, key, value):
+        self.built += self.measure(value)
+        super().__setitem__(key, value)
+
+
+def test_degree_over_overlapping_stored_rows_grows_linearly():
+    # A k-literal set-packing row written twice, plus one shifted by k/2:
+    # all three are stored, and the literals of the first half, the
+    # overlap and the last half have three distinct block lists, so
+    # ``degree`` builds each block's set and each list's union size once.
+    rungs = []
+    for k in (500, 1000, 2000):
+        half, n = k // 2, k + k // 2
+        rows = [Row(name, [(j, 1.0) for j in range(lo, lo + k)], "<=", 1.0)
+                for name, lo in (("a", 0), ("a again", 0), ("shifted", half))]
+        g = build(MilpInstance(gen.binary_vars(n), rows), min_clq_size=100)
+        g._sizes, g._sets = _CountingMemo(int), _CountingMemo(len)
+        degrees = [g.degree(a) for a in range(g.n_nodes)]
+        assert degrees[:n] == [k] * half + [n] * half + [k] * half
+        assert degrees[n:] == [1] * n  # a complement conflicts only with its literal
+        rungs.append({"memo entries built": g._sizes.built + g._sets.built})
     _assert_ladder(rungs)

@@ -5,13 +5,16 @@ for speed.  On every input, both must give the same model (compared by its
 ``write_mps`` text) or fail with the same message on the same line.  The
 inputs are the seeded mutants of ``test_cli_mutation``, the same mutants
 with their line forms varied (tabs, CRLF, blank and comment lines, lower
-case), and unmutated ``gen`` instances.
+case), and unmutated ``gen`` instances.  The last tests pin the line
+breaks that ``parse_mps`` and ``read_point`` accept.
 """
 
 import math
 import random
 
-from cgcuts import MilpInstance, ParseError, Row, Variable, parse_mps, write_mps
+import pytest
+
+from cgcuts import MilpInstance, ParseError, Row, Variable, parse_mps, read_point, write_mps
 
 import gen
 from test_cli_mutation import KEYWORDS, NUMBERS, _base_models, _mutate
@@ -228,3 +231,37 @@ def test_zero_tokens_keep_their_own_sign():
     assert signs == [-1.0, 1.0, -1.0, 1.0, -1.0, 1.0]
     assert [(r.coeffs, math.copysign(1.0, r.rhs)) for r in got.rows] == [
         ([(4, 1.0), (5, -1.0)], 1.0), ([(2, 1.0)], -1.0)]
+
+
+# The separators other than "\n" at which ``str.splitlines`` ends a line.
+LINE_BREAKS = ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _model_and_point_lines():
+    inst = gen.random_binary_instance(random.Random(37))
+    x1, x2, x3 = (v.name for v in inst.variables[:3])
+    point = ["# a point", f"{x1} 0.5", f"{x2} 0.25 -1.5  # with a reduced cost", "", f"{x3} 1"]
+    return write_mps(inst).splitlines(), point
+
+
+def test_parsers_end_a_line_at_every_line_break_of_splitlines():
+    # ``parse_mps`` and ``read_point`` split with ``str.splitlines``, so a
+    # text joined with any of its line breaks reads as the one joined with
+    # "\n".  A parser that splits another way must keep this set.
+    lines, point = _model_and_point_lines()
+    model = parse_mps("\n".join(lines))
+    values = read_point("\n".join(point), model)
+    assert values.values and values.reduced_costs
+    for brk in LINE_BREAKS:
+        assert parse_mps(brk.join(lines)) == model, repr(brk)
+        assert read_point(brk.join(point), model) == values, repr(brk)
+
+
+def test_unit_separator_only_separates_tokens():
+    # "\x1f" is whitespace to ``str.split`` but no line break, so a text
+    # joined with it is one line.
+    lines, point = _model_and_point_lines()
+    with pytest.raises(ParseError, match="^line 2: missing ENDATA$"):
+        parse_mps("\x1f".join(lines))
+    with pytest.raises(ParseError, match="^line 1: point line must be"):
+        read_point("\x1f".join(point[1:3]), parse_mps("\n".join(lines)))

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from cgcuts.bk import BkParams, BkResult, WeightedSubgraph
-from cgcuts.cgraph import CliqueStore, ConflictGraph, RowCliques
+from cgcuts.cgraph import CliqueStore, ConflictGraph
 from cgcuts.model import FractionalPoint, KnapsackRow, MilpInstance, Row, Variable
 from cgcuts.oracle import ProbeResult
 from cgcuts.presolve import StrengthenReport
@@ -53,10 +53,6 @@ RECORDS = [
      dict(values={0: 0.5}, reduced_costs={0: -1.0}),
      dict(values={0: 0.25}, reduced_costs=None),
      "FractionalPoint(values={0: 0.5}, reduced_costs={0: -1.0})"),
-    (RowCliques,
-     dict(initial=[0, 1, 2], addtl=[(3, 2)]),
-     dict(initial=[0, 1], addtl=[]),
-     "RowCliques(initial=[0, 1, 2], addtl=[(3, 2)])"),
     (CliqueStore,
      dict(first=[[0, 1]], addtl=[(2, 0, 2)], first_stored=[True], blocks=[[(0, 0)]]),
      dict(first=[], addtl=[], first_stored=[], blocks=[]),
