@@ -36,9 +36,10 @@ builds a new tuple from its blocks.  ``degree`` counts a literal in
 stored blocks from the size of their union, memoized per block list,
 ``conflicts_among`` and ``conflicting`` intersect the candidates with the
 tuple and with each block's member set, cached once per block, and
-``greedy_extend`` tests only the candidates outside a stored clique that
-holds its whole seed.  Counting the edges of stored k-literal cliques,
-overlapping or not, or extending a row inside one thus costs O(k), not
+``greedy_extend`` tests only the candidates outside the stored clique,
+among those holding its seed's smallest literal, that covers the most
+of them.  Counting the edges of stored k-literal cliques, overlapping or
+not, or extending a row inside one or across two thus costs O(k), not
 O(k^2).
 
 ``greedy_extend`` grows a set of literals by intersecting conflicts;
@@ -124,20 +125,14 @@ class CliqueStore(_Record):
     than ``min_clq_size`` are kept, and none reads a dissolved first
     clique: detection gives every tuple l >= 2, so a tuple has at most
     ``len(first[c])`` members, and a kept one leaves ``first[c]`` larger
-    than ``min_clq_size`` too, hence stored.  Each list not given starts
-    empty.
+    than ``min_clq_size`` too, hence stored.
     """
 
     _fields = ("first", "addtl", "first_stored", "blocks")
 
-    def __init__(self, first: list[list[int]] | None = None,
-                 addtl: list[tuple[int, int, int]] | None = None,
-                 first_stored: list[bool] | None = None,
-                 blocks: list[list[tuple[int, int]]] | None = None):
-        self.first = [] if first is None else first
-        self.addtl = [] if addtl is None else addtl
-        self.first_stored = [] if first_stored is None else first_stored
-        self.blocks = [] if blocks is None else blocks
+    def __init__(self, first: list[list[int]], addtl: list[tuple[int, int, int]],
+                 first_stored: list[bool], blocks: list[list[tuple[int, int]]]):
+        self.first, self.addtl, self.first_stored, self.blocks = first, addtl, first_stored, blocks
 
 
 class ConflictGraph(_Record):
@@ -158,7 +153,7 @@ class ConflictGraph(_Record):
     _fields = ("n_vars", "store", "adjlist", "cliques_detected")
 
     def __init__(self, n_vars: int, store: CliqueStore, adjlist: list[tuple[int, ...]],
-                 cliques_detected: int = 0):
+                 cliques_detected: int):
         self.n_vars, self.store, self.adjlist = n_vars, store, adjlist
         self.cliques_detected = cliques_detected
         self._sets: dict[tuple[int, int], frozenset[int]] = {}
@@ -167,9 +162,6 @@ class ConflictGraph(_Record):
     @property
     def n_nodes(self) -> int:
         return 2 * self.n_vars
-
-    def complement(self, node: int) -> int:
-        return complement_node(node, self.n_vars)
 
     @property
     def adj_entries(self) -> int:
@@ -229,16 +221,6 @@ class ConflictGraph(_Record):
         within = set(lits)
         return {a: sorted(self._conflicting_in(a, within)) for a in within}
 
-    def _holder(self, lits: set[int]) -> frozenset[int]:
-        """The members of the first stored clique that holds every literal
-        of ``lits``; empty when no clique does."""
-        blocks = self.store.blocks
-        held = {c for c, s in blocks[min(lits)] if not s}
-        for v in lits:
-            if held:
-                held.intersection_update(c for c, s in blocks[v] if not s)
-        return self._members(min(held), 0) if held else frozenset()
-
     def _conflicting_in(self, a: int, cands: set[int]) -> set[int]:
         """The members of ``cands`` conflicting with a: those in its
         adjacency tuple and the members of its stored blocks.  Each
@@ -263,7 +245,7 @@ class ConflictGraph(_Record):
         for lit, c, l in st.addtl:
             lines.append(f"T {instance.node_name(lit)} {c} {l}")
         for a, adj in enumerate(self.adjlist):
-            comp = self.complement(a)
+            comp = complement_node(a, self.n_vars)
             names = [instance.node_name(v) for v in adj if v != comp]
             if names:
                 lines.append(f"A {instance.node_name(a)}: " + " ".join(names))
@@ -286,11 +268,15 @@ def greedy_extend(g: ConflictGraph, seed: Iterable[int],
     intersected one at a time until nothing is left.  A seed with no
     common neighbor is returned as it is, with no sort.
 
-    When one stored clique holds the whole seed, the candidates inside it
-    conflict with the seed and with every literal of it that joins, so
-    such a join tests only the candidates outside it: extending a seed
-    inside a stored k-clique costs O(k), not O(k^2), and reads only the
-    seed members' neighbors.
+    The candidates are split on one stored clique of the seed's smallest
+    literal: of those cliques, the one that holds the most candidates.
+    The candidates inside any stored clique conflict with each other, and
+    with the seed, being common neighbors, so each join tests only the
+    candidates outside it and joins what the pairwise test would: which
+    clique is taken never changes the result.  The widest keeps the
+    outside small both for a seed inside a stored k-clique and for one
+    that straddles two overlapping stored rows, so either extension costs
+    O(k), not O(k^2).
     """
     ext = set(seed)
     if not ext:
@@ -307,7 +293,8 @@ def greedy_extend(g: ConflictGraph, seed: Iterable[int],
     if not outside:
         return frozenset(ext)
     order = sorted(outside, key=order_key)
-    inside = outside & g._holder(ext)
+    inside = max((outside & g._members(c, 0) for c, s in g.store.blocks[min(ext)] if not s),
+                 key=len, default=set())
     outside -= inside
     for lit in order:
         if lit in outside:
@@ -340,7 +327,7 @@ def build(instance: MilpInstance, min_clq_size: int = 512) -> ConflictGraph:
         raise ValueError(f"min_clq_size must be >= 0, not {min_clq_size!r}")
     n = instance.n_vars
     n_nodes = 2 * n
-    store = CliqueStore(blocks=[[] for _ in range(n_nodes)])
+    store = CliqueStore([], [], [], [[] for _ in range(n_nodes)])
     # The dissolved cliques, tuple suffixes and tuple literals that hold
     # each literal, filed as the rows are read.  At the end each literal's
     # list is expanded once and replaced by its sorted adjacency tuple.

@@ -152,8 +152,6 @@ def separate_cliques(g: ConflictGraph, point: FractionalPoint,
         raise ValueError(f"min_viol must be finite and >= 0, not {min_viol!r}")
     params = BkParams(1.0 + min_viol, (bk_params or BkParams()).max_calls)
     sub = fractional_subgraph(g, point, params.min_weight)
-    if not sub.nodes:
-        return []
     result = find_cliques(sub, params)
     if not result.exact:
         log.warning("Bron-Kerbosch stopped at its budget: %d calls counted, "

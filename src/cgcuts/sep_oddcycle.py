@@ -164,7 +164,8 @@ def _shortest_path(adj: list[list[tuple[int, float]]], source: int,
 
 
 def _walk_cycles(walk: list[int]) -> list[list[int]]:
-    """Decompose a closed walk into the simple cycles along it."""
+    """The simple odd cycles of length >= 5 along a closed walk: it is
+    decomposed into simple cycles, and the others are dropped."""
     stack = [walk[0]]
     pos = {walk[0]: 0}
     out = []
@@ -172,7 +173,7 @@ def _walk_cycles(walk: list[int]) -> list[list[int]]:
         if v in pos:
             i = pos[v]
             cyc = stack[i:]
-            if len(cyc) >= 3:
+            if len(cyc) >= 5 and len(cyc) % 2:
                 out.append(cyc)
             for u in stack[i + 1:]:
                 pos.pop(u)
@@ -234,8 +235,6 @@ def separate_odd_cycles(g: ConflictGraph, point: FractionalPoint) -> list[OddCyc
                 continue
             assert (len(path) - 1) % 2 == 1, "bipartite path must have odd length"
             for cyc in _walk_cycles([a >> 1 for a in path]):
-                if len(cyc) < 5 or len(cyc) % 2 == 0:
-                    continue
                 cost = 0.0
                 for i, a in enumerate(cyc):
                     wa = weight[a]

@@ -6,7 +6,7 @@ import random
 
 from cgcuts import MilpInstance, Row, Variable, normalize_to_knapsack
 from cgcuts.bk import WeightedSubgraph, weight_order
-from cgcuts.model import KnapsackRow
+from cgcuts.model import KnapsackRow, complement_node
 
 
 def binary_vars(n: int, prefix: str = "x") -> list[Variable]:
@@ -278,7 +278,7 @@ def edge_set(g) -> set[frozenset[int]]:
     Calls no ``neighbors``."""
     return {frozenset((a, b))
             for a, nbrs in g.conflicts_among(range(g.n_nodes)).items()
-            for b in nbrs if b != g.complement(a)}
+            for b in nbrs if b != complement_node(a, g.n_vars)}
 
 
 def count_neighbors_calls(g) -> list[int]:

@@ -14,7 +14,7 @@ from cgcuts import (
 )
 from cgcuts.bk import find_cliques
 from cgcuts.cgraph import detect_cliques_compressed, greedy_extend
-from cgcuts.model import EPS, KnapsackRow, Variable, unit_knapsacks
+from cgcuts.model import EPS, KnapsackRow, Variable, complement_node, unit_knapsacks
 from cgcuts.oracle import probe_pairs
 from cgcuts.sep_clique import candidate_order_key, fractional_subgraph
 
@@ -201,7 +201,7 @@ def _assert_sorted_list_invariant(g, a):
     adjacency tuple itself."""
     adj = g.adjlist[a]
     assert type(adj) is tuple and adj == tuple(sorted(adj))
-    assert a not in adj and g.complement(a) in adj
+    assert a not in adj and complement_node(a, g.n_vars) in adj
     assert g.neighbors(a) == tuple(b for b in range(g.n_nodes) if g.conflicting(a, b))
     if not g.store.blocks[a]:
         assert g.neighbors(a) is adj
@@ -233,7 +233,8 @@ def test_neighbors_symmetry_and_oracle_equivalence():
                 assert a in g.neighbors(b)
                 assert g.conflicting(a, b) and g.conflicting(b, a)
             for b in range(g.n_nodes):
-                expect = b == g.complement(a) or frozenset((a, b)) in probe.edges
+                expect = (b == complement_node(a, g.n_vars)
+                          or frozenset((a, b)) in probe.edges)
                 assert g.conflicting(a, b) == expect
     assert all(kept[mcs] > 0 for mcs in (0, 1, 2, 4)), kept
     _assert_block_shapes_covered(covered)

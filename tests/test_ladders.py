@@ -87,6 +87,30 @@ def test_strengthen_inside_a_stored_row_grows_linearly():
     _assert_ladder(rungs)
 
 
+def test_strengthen_across_two_stored_rows_grows_linearly():
+    # Two stored k-literal rows, a and b, and the pair row p over a seed:
+    # p extends over the seed's common neighbors, all in b.  In the
+    # straddle shape b is a shifted by one and the seed is a's first
+    # literal and b's last, so no row holds the whole seed.  In the
+    # overlap shape b is a shifted by k/2 and holds the seed, whose
+    # smallest literal is in a too, but only b covers the candidates.
+    for shape in ("straddle", "overlap"):
+        rungs = []
+        for k in (500, 1000, 2000):
+            lo, seed = (1, (0, k)) if shape == "straddle" else (k // 2, (k // 2, k + 5))
+            rows = [Row("a", [(j, 1.0) for j in range(k)], "<=", 1.0),
+                    Row("b", [(j, 1.0) for j in range(lo, lo + k)], "<=", 1.0),
+                    Row("p", [(j, 1.0) for j in seed], "<=", 1.0)]
+            inst = MilpInstance(gen.binary_vars(lo + k), rows)
+            g = build(inst, min_clq_size=100)
+            counts = _count_reads(g)
+            report = strengthen(inst, g, alpha_max=2)
+            assert report.extended == [(2, k - 1 if shape == "straddle" else k - 2)], shape
+            assert report.removed_rows == []
+            rungs.append(counts())
+        _assert_ladder(rungs)
+
+
 def test_odd_cycle_separation_grows_linearly_over_disjoint_cycles(monkeypatch):
     # k disjoint 5-cycles at 0.45 each give one cut, violated by 0.25.
     pushes = [0]

@@ -25,8 +25,8 @@ def _instance(name=""):
 
 
 def _graph(n_vars=1):
-    return ConflictGraph(n_vars, CliqueStore(blocks=[[] for _ in range(2 * n_vars)]),
-                         [((v + n_vars) % (2 * n_vars),) for v in range(2 * n_vars)])
+    return ConflictGraph(n_vars, CliqueStore([], [], [], [[] for _ in range(2 * n_vars)]),
+                         [((v + n_vars) % (2 * n_vars),) for v in range(2 * n_vars)], 0)
 
 
 # (class, keyword arguments, another value for each field, expected repr)
@@ -59,9 +59,9 @@ RECORDS = [
      "CliqueStore(first=[[0, 1]], addtl=[(2, 0, 2)], first_stored=[True], "
      "blocks=[[(0, 0)]])"),
     (ConflictGraph,
-     dict(n_vars=1, store=CliqueStore(blocks=[[], []]), adjlist=[(1,), (0,)],
+     dict(n_vars=1, store=CliqueStore([], [], [], [[], []]), adjlist=[(1,), (0,)],
           cliques_detected=0),
-     dict(n_vars=2, store=CliqueStore(), adjlist=[(1,), ()], cliques_detected=1),
+     dict(n_vars=2, store=CliqueStore([], [], [], []), adjlist=[(1,), ()], cliques_detected=1),
      "ConflictGraph(n_vars=1, store=CliqueStore(first=[], addtl=[], first_stored=[], "
      "blocks=[[], []]), adjlist=[(1,), (0,)], cliques_detected=0)"),
     (StrengthenReport,
@@ -168,13 +168,7 @@ def test_graph_equality_leaves_out_its_memos():
 def test_records_take_keywords_and_defaults_as_callers_pass_them():
     assert Variable("y", objective_coeff=3.0) == Variable("y", 0.0, math.inf, False, 3.0)
     assert not Variable("y").is_binary and Variable("b", 0.0, 1.0, True).is_binary
-    store = CliqueStore(blocks=[[], []])
-    assert (store.first, store.addtl, store.first_stored) == ([], [], [])
-    other = CliqueStore()
-    other.first.append([0])
-    assert CliqueStore().first == [] and store.first == []  # no list is shared
     point = FractionalPoint({0: 1.0 + 1e-9, 1: -1e-9}, reduced_costs={0: 2.0})
     assert point.values == {0: 1.0, 1: 0.0} and point.reduced_costs == {0: 2.0}
     assert FractionalPoint({0: 0.5}).reduced_costs is None
     assert MilpInstance([], []).objective_name == "OBJ"
-    assert ConflictGraph(0, CliqueStore(), []).cliques_detected == 0

@@ -161,10 +161,10 @@ def test_cut_constructor_validates():
 
 
 def test_walk_cycle_decomposition():
-    # figure-eight walk: two triangles sharing vertex 0 -> two cycles
-    walk = [0, 1, 2, 0, 3, 4, 0]
+    # a triangle and two 5-cycles through vertex 0 -> only the 5-cycles
+    walk = [0, 1, 2, 0, 3, 4, 5, 6, 0, 7, 8, 9, 10, 0]
     cycles = _walk_cycles(walk)
-    assert sorted(sorted(c) for c in cycles) == [[0, 1, 2], [0, 3, 4]]
+    assert sorted(sorted(c) for c in cycles) == [[0, 3, 4, 5, 6], [0, 7, 8, 9, 10]]
     # revisit that shortcuts to one 5-cycle
     walk = [9, 0, 1, 2, 3, 4, 0, 9]
     [cyc] = [c for c in _walk_cycles(walk) if len(c) >= 3]
